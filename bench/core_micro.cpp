@@ -1,7 +1,7 @@
 // Core microbenchmark suite: the engine hot paths, self-timed, with the
 // event queue raced against the std::map implementation it replaced.
 //
-// Five series (BENCH_core.json, schema eadt-bench-v1, `micro` section):
+// Six series (BENCH_core.json, schema eadt-bench-v1, `micro` section):
 //   * event_queue_sched_fire_cancel — randomized schedule/fire/cancel churn
 //     on sim::Simulation vs the reference std::map queue (same op sequence;
 //     the speedup figure is the PR-over-PR perf gate);
@@ -10,6 +10,10 @@
 //   * fair_share_waterfill_dist — net::WaterfillSolver dist mode at 10^6
 //     flows (10^5 under --quick) vs the per-flow reference loop on the same
 //     round, bitwise-checked before timing (its speedup is a CI tripwire);
+//   * fair_share_fleet_round — the fleet tick's joint round: 2,000 distinct
+//     busy demands through net::LinkArbiter::submit_groups, a terminal round in
+//     which nobody caps, bitwise-checked before timing; `counts.ordered`
+//     reports the groups the solver sorted (0: the lazy order is never read);
 //   * session_ticks — whole TransferSession steady-state ticks per second.
 //
 // Wall-clock numbers are the *non-deterministic* side of the schema: the ops
@@ -394,6 +398,78 @@ exp::MicroSample bench_waterfill(std::uint64_t flows) {
   return m;
 }
 
+/// The fleet's steady joint round: 1,000 tenants of two distinct busy
+/// channels each plus an idle one, every cap/weight ratio far above the
+/// waterlevel — the terminal no-cap round the scheduler runs every tick. One
+/// round is checked BITWISE against the reference on the flattened demand
+/// list before any timing; a mismatch is fatal.
+exp::MicroSample bench_fleet_round(int calls) {
+  Rng rng(0xF1EE7);
+  constexpr int kTenants = 1000;
+  std::vector<std::vector<net::DemandGroup>> tenants;
+  std::vector<net::Demand> flat;
+  double min_key = 1e300;
+  double weight_sum = 0.0;
+  for (int t = 0; t < kTenants; ++t) {
+    std::vector<net::DemandGroup> groups;
+    for (int c = 0; c < 2; ++c) {
+      const double weight = static_cast<double>(rng.uniform_int(1, 8));
+      groups.push_back({rng.uniform(1e8, 1e9) * weight, weight, rng.uniform_int(1, 3)});
+      min_key = std::min(min_key, groups.back().cap / weight);
+      weight_sum += weight * static_cast<double>(groups.back().count);
+    }
+    groups.push_back({0.0, 1.0, 1});  // an idle channel
+    for (const auto& g : groups) {
+      flat.insert(flat.end(), static_cast<std::size_t>(g.count),
+                  net::Demand{g.cap, g.weight});
+    }
+    tenants.push_back(std::move(groups));
+  }
+  const BitsPerSecond capacity = 0.5 * min_key * weight_sum;
+
+  net::LinkArbiter arbiter;
+  const auto round = [&](BitsPerSecond cap) {
+    arbiter.begin_round(cap);
+    for (const auto& groups : tenants) arbiter.submit_groups(groups);
+    arbiter.allocate();
+    return arbiter.total();
+  };
+
+  // Correctness gate, untimed: every tenant's slice vs the reference.
+  const BitsPerSecond total = round(capacity);
+  const std::uint64_t ordered = arbiter.solver_stats().ordered;
+  net::FairShareScratch scratch;
+  std::vector<BitsPerSecond> ref;
+  const BitsPerSecond ref_total =
+      net::fair_share_reference_into(capacity, flat, ref, scratch);
+  bool same = total == ref_total;
+  std::size_t at = 0;
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    for (const BitsPerSecond a : arbiter.slice(t)) same = same && a == ref[at++];
+  }
+  if (!same || at != flat.size()) {
+    std::cerr << "FATAL: fleet round diverged from the reference\n";
+    std::exit(1);
+  }
+
+  double acc = 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < calls; ++i) {
+    // Nudge the capacity per call so the loop cannot be folded away.
+    acc += round(capacity + static_cast<double>(i % 97));
+  }
+  const double ms = ms_since(t0);
+  g_sink = acc;
+
+  exp::MicroSample m;
+  m.name = "fair_share_fleet_round";
+  m.ops = static_cast<std::uint64_t>(calls);
+  m.wall_ms = ms;
+  m.ops_per_sec = ms > 0.0 ? static_cast<double>(m.ops) * 1000.0 / ms : 0.0;
+  m.counts.emplace_back("ordered", ordered);
+  return m;
+}
+
 exp::MicroSample bench_session_ticks(unsigned scale, obs::ObsSinks* sinks) {
   auto t = testbeds::didclab();
   t.recipe.total_bytes = std::max<Bytes>(t.recipe.total_bytes / scale, 64ULL << 20);
@@ -422,6 +498,7 @@ void print_sample(const exp::MicroSample& m) {
     std::cout << ", reference baseline " << static_cast<std::uint64_t>(m.baseline_ops_per_sec)
               << " ops/s, speedup " << m.speedup << "x";
   }
+  for (const auto& [key, value] : m.counts) std::cout << ", " << key << " " << value;
   std::cout << ")\n";
 }
 
@@ -448,6 +525,8 @@ int main(int argc, char** argv) {
   print_sample(record.micro.back());
   record.micro.push_back(
       bench_waterfill(static_cast<std::uint64_t>(1000000 / div)));
+  print_sample(record.micro.back());
+  record.micro.push_back(bench_fleet_round(4000 / div));
   print_sample(record.micro.back());
   record.micro.push_back(bench_session_ticks(
       opt.scale, collector ? collector->slot(0, "session_ticks") : nullptr));

@@ -270,7 +270,17 @@ void write_bench_json(std::ostream& os, const BenchRecord& record) {
       os << ",\"ops\":" << m.ops << ",\"wall_ms\":" << jnum(m.wall_ms)
          << ",\"ops_per_sec\":" << jnum(m.ops_per_sec)
          << ",\"baseline_ops_per_sec\":" << jnum(m.baseline_ops_per_sec)
-         << ",\"speedup\":" << jnum(m.speedup) << "}";
+         << ",\"speedup\":" << jnum(m.speedup);
+      if (!m.counts.empty()) {
+        os << ",\"counts\":{";
+        for (std::size_t c = 0; c < m.counts.size(); ++c) {
+          if (c > 0) os << ',';
+          write_json_string(os, m.counts[c].first);
+          os << ':' << m.counts[c].second;
+        }
+        os << '}';
+      }
+      os << "}";
       os << (i + 1 < record.micro.size() ? ",\n" : "\n");
     }
     os << "  ]";

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -139,8 +140,9 @@ class SweepRunner {
 /// `wall_ms`. `baseline_ops_per_sec` is non-zero when the series was raced
 /// against a reference implementation (e.g. the event queue vs a std::map
 /// queue), in which case `speedup` = ops_per_sec / baseline_ops_per_sec.
-/// Everything here is wall-clock derived, i.e. the non-deterministic side of
-/// the schema — the perf trajectory, not a correctness payload.
+/// The rates are wall-clock derived, i.e. the non-deterministic side of the
+/// schema — the perf trajectory, not a correctness payload. `counts` carries
+/// a series' replay-stable work counters (e.g. the groups a solve sorted).
 struct MicroSample {
   std::string name;       ///< e.g. "event_queue_sched_fire_cancel"
   std::uint64_t ops = 0;  ///< operations performed
@@ -148,6 +150,7 @@ struct MicroSample {
   double ops_per_sec = 0.0;
   double baseline_ops_per_sec = 0.0;  ///< 0 when the series has no baseline
   double speedup = 0.0;               ///< 0 when the series has no baseline
+  std::vector<std::pair<std::string, std::uint64_t>> counts;  ///< omitted when empty
 };
 
 /// One multi-tenant scheduler scenario's deterministic outcome, as recorded

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -55,6 +56,16 @@ BitsPerSecond fair_share_into(BitsPerSecond capacity, std::span<const Demand> de
                               std::vector<BitsPerSecond>& allocation,
                               FairShareScratch& scratch);
 
+/// True when the reference loop would hand every demand exactly its cap, so
+/// a caller clamping caps to the allocation can skip the round: each active
+/// demand (cap > 0, weight > 0) caps in the first filling round — cap <= the
+/// round-1 share, from the same index-order weight sum over active demands
+/// the reference computes — and every other demand's cap is +0.0, the zero
+/// the reference leaves it. Bit for bit: whenever this returns true,
+/// fair_share_reference_into's allocation equals the caps.
+[[nodiscard]] bool fair_share_fits(BitsPerSecond capacity,
+                                   std::span<const Demand> demands);
+
 /// Demand count at which fair_share_into switches from the reference loop to
 /// the waterfill solver. Session-sized rounds (dozens of channels) stay on
 /// the sweep — sorting them would cost more than it saves; fleet-sized
@@ -77,9 +88,11 @@ inline constexpr std::size_t kWaterfillThreshold = 512;
 /// channels of one session — stream-count weighted, work-conserving, with no
 /// per-tenant reservations. slice(i) returns tenant i's view of the result
 /// in submission order. Buffers are reused across rounds (allocation-free
-/// once warm, like FairShareScratch). Rounds above kWaterfillThreshold solve
-/// through the waterfill path automatically — bitwise-identical, but a fleet
-/// of same-shape tenants costs per-group, not per-flow.
+/// once warm, like FairShareScratch). Submissions are stored as run-length
+/// collapsed groups; rounds of kWaterfillThreshold or more members solve
+/// through WaterfillSolver::solve_dist — bitwise-identical, but a fleet of
+/// same-shape tenants costs per-group, not per-flow — and smaller rounds run
+/// the reference loop over the expansion.
 class LinkArbiter {
  public:
   /// Start a round. Earlier submissions are discarded.
@@ -98,17 +111,28 @@ class LinkArbiter {
   [[nodiscard]] std::span<const BitsPerSecond> slice(std::size_t i) const;
   [[nodiscard]] BitsPerSecond capacity() const noexcept { return capacity_; }
   [[nodiscard]] BitsPerSecond total() const noexcept { return total_; }
+  /// How the last round of kWaterfillThreshold or more members resolved;
+  /// smaller rounds run the reference loop and leave it untouched.
+  [[nodiscard]] const WaterfillSolver::Stats& solver_stats() const noexcept {
+    return scratch_.solver.stats();
+  }
 
  private:
   struct Range {
-    std::size_t offset = 0;
+    std::size_t offset = 0;  ///< first member, in round-wide member order
     std::size_t count = 0;
   };
+  /// Appends `count` members, merging into the previous group when equal.
+  void append(BitsPerSecond cap, double weight, std::uint64_t count);
+
   BitsPerSecond capacity_ = 0.0;
   BitsPerSecond total_ = 0.0;
-  std::vector<Demand> demands_;
+  std::size_t members_ = 0;
+  std::vector<DemandGroup> groups_;  ///< the round, run-length collapsed
   std::vector<Range> ranges_;
-  std::vector<BitsPerSecond> allocation_;
+  std::vector<Demand> demands_;            ///< expansion, small rounds only
+  std::vector<BitsPerSecond> group_rates_; ///< per-group rates, large rounds
+  std::vector<BitsPerSecond> allocation_;  ///< per-member rates slice() serves
   FairShareScratch scratch_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace eadt::net {
 namespace {
@@ -13,6 +14,8 @@ namespace {
 // kEps scales the tracked weight-resum error bound.
 constexpr double kSlop = 1e-12;
 constexpr double kEps = 2.3e-16;
+// Ordering bound that admits every key: finite inputs give keys <= +inf.
+constexpr double kWholeTail = std::numeric_limits<double>::infinity();
 
 // k-fold sequential `s += v`, bitwise identical to the loop the reference
 // runs over k contiguous identical flows. Early out: once fl(s + v) == s the
@@ -37,6 +40,25 @@ inline double repeat_sub(double s, double v, std::uint64_t k) {
 }
 
 }  // namespace
+
+std::size_t WaterfillSolver::extend_order(std::size_t from, double stop_key) {
+  // Groups capped by an exact round since the tail was built never need a
+  // position; drop them before ordering what is left.
+  const auto tail = std::remove_if(order_.begin() + static_cast<std::ptrdiff_t>(from),
+                                   order_.end(),
+                                   [this](std::size_t g) { return groups_[g].capped; });
+  order_.erase(tail, order_.end());
+  const auto piece_end =
+      std::partition(order_.begin() + static_cast<std::ptrdiff_t>(from), order_.end(),
+                     [this, stop_key](std::size_t g) { return groups_[g].key <= stop_key; });
+  std::sort(order_.begin() + static_cast<std::ptrdiff_t>(from), piece_end,
+            [this](std::size_t a, std::size_t b) {
+              if (groups_[a].key != groups_[b].key)
+                return groups_[a].key < groups_[b].key;
+              return a < b;
+            });
+  return static_cast<std::size_t>(piece_end - order_.begin());
+}
 
 double WaterfillSolver::replay_weight_sum() const {
   double w = 0.0;
@@ -68,15 +90,16 @@ BitsPerSecond WaterfillSolver::run(BitsPerSecond capacity,
   }
   force_exact_ = !finite;
 
+  // order_ is sorted lazily: only [0, sorted) is in (key, index) order, and
+  // every key past it exceeds every key before it, so the sorted part is
+  // always a prefix of the full sort. Certified scans extend it only when
+  // they run off its end: the first extension sorts just the keys that can
+  // reach the current band, any later one sorts the whole remaining tail.
   std::size_t start = 0;
+  std::size_t sorted = 0;
+  bool partitioned = false;
   if (!force_exact_) {
     order_.assign(active_.begin(), active_.end());
-    std::sort(order_.begin(), order_.end(),
-              [this](std::size_t a, std::size_t b) {
-                if (groups_[a].key != groups_[b].key)
-                  return groups_[a].key < groups_[b].key;
-                return a < b;
-              });
   } else {
     order_.clear();
   }
@@ -110,7 +133,14 @@ BitsPerSecond WaterfillSolver::run(BitsPerSecond capacity,
       round_capped_.clear();
       std::size_t p = start;
       bool uncertain = false;
-      while (p < order_.size()) {
+      bool extended = false;  // this round already ordered every key <= stop_key
+      while (true) {
+        if (p == sorted) {
+          if (sorted == order_.size() || extended) break;
+          sorted = extend_order(sorted, partitioned ? kWholeTail : stop_key);
+          partitioned = extended = true;
+          if (p == sorted) break;  // no remaining key reaches the band
+        }
         const std::size_t g = order_[p];
         if (groups_[g].capped) {  // stale entry left behind by an exact round
           ++p;
@@ -192,6 +222,8 @@ BitsPerSecond WaterfillSolver::run(BitsPerSecond capacity,
       ops += 4.0 + static_cast<double>(active_.size());
     }
   }
+
+  stats_.ordered = sorted;
 
   // The reference's final std::accumulate over the expanded allocation,
   // replayed k-fold in index order. All values are >= +0.0, so adding the

@@ -5,9 +5,12 @@
 // channels, a bottleneck for a fleet of millions of per-request flows. This
 // solver computes the same allocation two ways faster:
 //
-//   * a waterlevel path over ratio-sorted demands: each round caps a sorted
-//     prefix instead of re-scanning every survivor, so the whole fill is
-//     O(N log N) for the sort plus O(N) of prefix advancement;
+//   * a waterlevel path over ratio-ordered demands: each round caps a sorted
+//     prefix instead of re-scanning every survivor. The order is built
+//     lazily (heyp's partial-sort waterlevel): the first round sorts only
+//     the demands inside its waterlevel band and later rounds sort the rest
+//     only if they reach it, so a round in which nobody caps costs O(N) and
+//     a capping cascade at most O(N log N) plus O(N) of prefix advancement;
 //   * a "dist" entry point taking (demand, weight, count) groups, so a
 //     tenant's k identical parallel streams cost one entry instead of k
 //     (the heyp-agents ValCount idea) — per-round work drops from the flow
@@ -89,6 +92,7 @@ class WaterfillSolver {
     std::uint64_t rounds = 0;           ///< filling rounds executed
     std::uint64_t certified_rounds = 0; ///< resolved from the sorted prefix
     std::uint64_t exact_rounds = 0;     ///< fell back to index-order replay
+    std::uint64_t ordered = 0;          ///< groups placed in (key, index) order
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -105,13 +109,19 @@ class WaterfillSolver {
   /// (pre-sized, zeroed) and returns the replayed total.
   BitsPerSecond run(BitsPerSecond capacity, std::vector<BitsPerSecond>& out);
 
+  /// Extends the sorted prefix order_[0, from): drops groups capped since,
+  /// moves the remaining ids with key <= stop_key next (in (key, index)
+  /// order) and returns the new prefix end. Every key left past it exceeds
+  /// stop_key, so the prefix stays a prefix of the full sort.
+  std::size_t extend_order(std::size_t from, double stop_key);
+
   /// Exact replay of the reference's per-round weight resum: index-ordered,
   /// k-fold per group, over the surviving active set.
   [[nodiscard]] double replay_weight_sum() const;
 
   std::vector<Group> groups_;
   std::vector<std::size_t> active_;        ///< surviving ids, index order
-  std::vector<std::size_t> order_;         ///< active ids, (key, index) order
+  std::vector<std::size_t> order_;         ///< active ids, sorted prefix first
   std::vector<std::size_t> round_capped_;  ///< this round's certified prefix
   std::vector<BitsPerSecond> group_out_;   ///< per-group rates before expansion
   bool force_exact_ = false;               ///< non-finite input: replay only

@@ -963,6 +963,8 @@ void TransferSession::collect_link_demands() {
         d.push_back({caps[i], 1.0});
         idx.push_back(i);
       }
+      // A pool every channel fits under hands each its cap back unchanged.
+      if (net::fair_share_fits(pool, d)) continue;
       net::fair_share_into(pool, d, scratch_.pool_alloc, scratch_.fair_share);
       for (std::size_t k = 0; k < idx.size(); ++k) {
         caps[idx[k]] = std::min(caps[idx[k]], scratch_.pool_alloc[k]);

@@ -22,6 +22,7 @@
 
 #include "exp/scheduler.hpp"
 #include "exp/service.hpp"
+#include "net/fair_share.hpp"
 #include "obs/telemetry.hpp"
 #include "proto/session.hpp"
 #include "test_env.hpp"
@@ -183,3 +184,43 @@ TEST(AllocGuard, TelemetrySamplingTicksAreAllocationFree) {
 
 }  // namespace
 }  // namespace eadt::exp
+
+namespace eadt::net {
+namespace {
+
+// The fleet's joint round: ~1,000 tenants submitting three distinct groups
+// each, far above kWaterfillThreshold members. Once a no-cap round and a
+// capping cascade have grown every buffer — the round's groups, per-group
+// rates, the per-member expansion, the solver's order — further rounds of
+// either kind allocate nothing.
+TEST(AllocGuard, WarmFleetSizedGroupedArbiterRoundIsAllocationFree) {
+  std::vector<std::vector<DemandGroup>> tenants;
+  double cap_sum = 0.0;
+  for (int t = 0; t < 1000; ++t) {
+    const double i = static_cast<double>(t);
+    tenants.push_back({{1e8 + 1e5 * i, 2.0, 3}, {0.0, 1.0, 2}, {5e7 + 3e4 * i, 1.0, 1}});
+    cap_sum += 3.0 * (1e8 + 1e5 * i) + 5e7 + 3e4 * i;
+  }
+  LinkArbiter arbiter;
+  const auto round = [&](BitsPerSecond capacity) {
+    arbiter.begin_round(capacity);
+    for (const auto& groups : tenants) arbiter.submit_groups(groups);
+    arbiter.allocate();
+  };
+  const BitsPerSecond no_cap = 1e9;  // waterlevel far below every ratio
+  const BitsPerSecond cascade = 0.85 * cap_sum;  // caps the low ratios first
+  round(no_cap);
+  round(cascade);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 4; ++i) {
+    round(no_cap + static_cast<double>(i));
+    round(cascade + static_cast<double>(i));
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "warm grouped arbiter rounds allocated";
+  EXPECT_GT(arbiter.solver_stats().ordered, 0u);  // the cascade read the order
+}
+
+}  // namespace
+}  // namespace eadt::net

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -283,6 +284,98 @@ TEST(Waterfill, CertifiedPathEngagesOnSeparatedGrids) {
   EXPECT_EQ(st.exact_rounds, 0u) << "separated grid should never need replay";
   EXPECT_LE(st.rounds, groups.size() + 1);
   check_dist(0.35 * cap_sum, groups, solver, "separated grid");
+}
+
+// --- lazy ordering ------------------------------------------------------
+
+std::uint64_t active_groups(const std::vector<DemandGroup>& groups) {
+  std::uint64_t n = 0;
+  for (const auto& g : groups) n += (g.cap > 0.0 && g.weight > 0.0 && g.count > 0) ? 1 : 0;
+  return n;
+}
+
+// The fleet's common round: thousands of distinct demands, every one far
+// above the waterlevel, so nobody caps. The certified terminal round never
+// reads a sorted position, so the solver must order nothing at all.
+TEST(Waterfill, NoCapFleetRoundOrdersNothing) {
+  Rng rng(0xF1EE7);
+  std::vector<Demand> d;
+  double min_key = std::numeric_limits<double>::infinity();
+  double weight_sum = 0.0;
+  for (int i = 0; i < 2400; ++i) {
+    d.push_back({rng.uniform(1e8, 1e9), static_cast<double>(rng.uniform_int(1, 8))});
+    min_key = std::min(min_key, d.back().cap / d.back().weight);
+    weight_sum += d.back().weight;
+  }
+  WaterfillSolver solver;
+  check_scalar(0.5 * min_key * weight_sum, d, solver, "no-cap fleet round");
+  const auto& st = solver.stats();
+  EXPECT_EQ(st.rounds, 1u);
+  EXPECT_EQ(st.certified_rounds, 1u);
+  EXPECT_EQ(st.ordered, 0u);
+}
+
+// A multi-round capping cascade does read the order: later rounds extend
+// it, but only ever over active groups, each placed once.
+TEST(Waterfill, CappingCascadeOrdersAtMostTheActiveGroups) {
+  Rng rng(0xCA5CADE);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<DemandGroup> groups;
+    double cap_sum = 0.0;
+    for (int g = 0; g < 300; ++g) {
+      groups.push_back({rng.uniform01() < 0.05 ? 0.0 : rng.uniform(1e5, 1e9),
+                        static_cast<double>(rng.uniform_int(1, 4)),
+                        rng.uniform_int(0, 50)});
+      cap_sum += groups.back().cap * static_cast<double>(groups.back().count);
+    }
+    WaterfillSolver solver;
+    check_dist(cap_sum * rng.uniform(0.2, 0.6), groups, solver, "capping cascade");
+    const auto& st = solver.stats();
+    EXPECT_GE(st.rounds, 2u) << "round " << round;
+    EXPECT_GT(st.ordered, 0u) << "round " << round;
+    EXPECT_LE(st.ordered, active_groups(groups)) << "round " << round;
+  }
+}
+
+// Round one orders only the keys inside its band — here an ulp-wide cluster
+// straddling the waterlevel, which forces exact rounds. Every later round
+// resolves inside that already-sorted prefix: the cluster members above the
+// level stay uncapped, so no later scan reaches the prefix's end and the far
+// tail of distinct demands is never sorted.
+TEST(Waterfill, LaterRoundsInsideTheSortedPrefixLeaveTheTailUnsorted) {
+  Rng rng(0x7A11);
+  const double level = 5e8;
+  constexpr int kCluster = 24;
+  std::vector<DemandGroup> groups;
+  double weight_sum = 0.0;
+  for (int i = 0; i < kCluster; ++i) {
+    // 6 ulps either side of the level; the first member always above it.
+    const double toward = (i == 0 || rng.uniform01() < 0.5) ? 2.0 * level : 0.0;
+    double cap = level;
+    for (int u = i == 0 ? 6 : static_cast<int>(rng.uniform_int(0, 6)); u > 0; --u) {
+      cap = std::nextafter(cap, toward);
+    }
+    groups.push_back({cap, 1.0, 1});
+    weight_sum += 1.0;
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const double weight = static_cast<double>(rng.uniform_int(1, 4));
+    groups.push_back({level * weight * rng.uniform(4.0, 40.0), weight, 1});
+    weight_sum += weight;
+  }
+  // Round-robin the cluster into the tail so index order differs from key
+  // order on both sides.
+  for (int i = 0; i < kCluster; ++i) {
+    std::swap(groups[static_cast<std::size_t>(i)],
+              groups[static_cast<std::size_t>(i * 80 + 7)]);
+  }
+  WaterfillSolver solver;
+  check_dist(level * weight_sum, groups, solver, "cluster on the waterlevel");
+  const auto& st = solver.stats();
+  EXPECT_GE(st.rounds, 2u);
+  EXPECT_GE(st.exact_rounds, 1u);
+  EXPECT_GT(st.ordered, 0u);
+  EXPECT_LE(st.ordered, static_cast<std::uint64_t>(kCluster));
 }
 
 // --- integration with fair_share_into and the arbiter --------------------

@@ -14,7 +14,10 @@
 //     busy demands through net::LinkArbiter::submit_groups, a terminal round in
 //     which nobody caps, bitwise-checked before timing; `counts.ordered`
 //     reports the groups the solver sorted (0: the lazy order is never read);
-//   * session_ticks — whole TransferSession steady-state ticks per second.
+//   * session_ticks — whole TransferSession steady-state ticks per second on
+//     DIDCLAB (1+1 servers, ProMC cc = 4);
+//   * session_ticks_xsede — the same on XSEDE (4+4 DTNs, ProMC cc = 12), where
+//     the per-channel caps and per-server loops carry real weight.
 //
 // Wall-clock numbers are the *non-deterministic* side of the schema: the ops
 // counts are replay-stable, the rates are the perf trajectory.
@@ -470,22 +473,34 @@ exp::MicroSample bench_fleet_round(int calls) {
   return m;
 }
 
-exp::MicroSample bench_session_ticks(unsigned scale, obs::ObsSinks* sinks) {
-  auto t = testbeds::didclab();
+/// Whole-session ticks of a ProMC run at concurrency `cc` on `t`. A run lasts
+/// only a few milliseconds, so an unobserved series reports the median of
+/// seven identical runs; an observed one runs once, so its trace holds one
+/// session.
+exp::MicroSample bench_session_ticks(const char* name, testbeds::Testbed t, int cc,
+                                     unsigned scale, obs::ObsSinks* sinks) {
   t.recipe.total_bytes = std::max<Bytes>(t.recipe.total_bytes / scale, 64ULL << 20);
   const auto ds = t.make_dataset();
+  const auto plan = baselines::plan_promc(t.env, ds, cc);
   proto::SessionConfig config;
   config.obs = sinks;  // null on unobserved runs: the timed loop is untouched
-  proto::TransferSession session(t.env, ds, baselines::plan_promc(t.env, ds, 4),
-                                 config);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto res = session.run();
-  const double ms = ms_since(t0);
-  g_sink = res.duration;
+  const int reps = sinks != nullptr ? 1 : 7;
+  std::vector<double> walls;
+  std::uint64_t ticks = 0;
+  for (int r = 0; r < reps; ++r) {
+    proto::TransferSession session(t.env, ds, plan, config);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto res = session.run();
+    walls.push_back(ms_since(t0));
+    g_sink = res.duration;
+    ticks = res.sim_counters.ticks;
+  }
+  std::sort(walls.begin(), walls.end());
+  const double ms = walls[walls.size() / 2];
 
   exp::MicroSample m;
-  m.name = "session_ticks";
-  m.ops = res.sim_counters.ticks;
+  m.name = name;
+  m.ops = ticks;
   m.wall_ms = ms;
   m.ops_per_sec = ms > 0.0 ? static_cast<double>(m.ops) * 1000.0 / ms : 0.0;
   return m;
@@ -529,7 +544,11 @@ int main(int argc, char** argv) {
   record.micro.push_back(bench_fleet_round(4000 / div));
   print_sample(record.micro.back());
   record.micro.push_back(bench_session_ticks(
-      opt.scale, collector ? collector->slot(0, "session_ticks") : nullptr));
+      "session_ticks", testbeds::didclab(), 4, opt.scale,
+      collector ? collector->slot(0, "session_ticks") : nullptr));
+  print_sample(record.micro.back());
+  record.micro.push_back(
+      bench_session_ticks("session_ticks_xsede", testbeds::xsede(), 12, opt.scale, nullptr));
   print_sample(record.micro.back());
 
   record.total_wall_ms = std::chrono::duration<double, std::milli>(

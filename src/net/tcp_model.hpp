@@ -65,6 +65,9 @@ struct CongestionSpec {
                                                 double warm_fraction = 0.5) {
   constexpr Bytes kInitialWindow = 64 * kKB;
   if (path.rtt <= 0.0 || file_size <= kInitialWindow) return 0.0;
+  // A fully warm channel keeps its whole window: the ramp below would be
+  // multiplied by (1 - 1) anyway. NaN is not >= 1 and still falls through.
+  if (warm_fraction >= 1.0) return 0.0;
   const Bytes target = std::min(file_size, std::max<Bytes>(path.bdp(), kInitialWindow));
   const double doublings = std::log2(static_cast<double>(target) /
                                      static_cast<double>(kInitialWindow));

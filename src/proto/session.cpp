@@ -469,14 +469,15 @@ Seconds TransferSession::backoff_delay(int failures) {
 }
 
 void TransferSession::fault_drop_channel(int index) {
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    if (!channels_[i].down) live.push_back(i);
-  }
-  if (live.empty()) return;  // nothing to kill; the drop dissipates
-  const std::size_t victim =
-      index >= 0 ? live[static_cast<std::size_t>(index) % live.size()]
-                 : live[victim_rng_.uniform_int(0, live.size() - 1)];
+  const auto live = static_cast<std::size_t>(std::count_if(
+      channels_.begin(), channels_.end(), [](const Channel& c) { return !c.down; }));
+  if (live == 0) return;  // nothing to kill; the drop dissipates
+  // The k-th live channel, k drawn over the live count: no heap list of the
+  // live indices, and the same draw and victim as indexing one would give.
+  std::size_t k = index >= 0 ? static_cast<std::size_t>(index) % live
+                             : victim_rng_.uniform_int(0, live - 1);
+  std::size_t victim = 0;
+  while (channels_[victim].down || k-- > 0) ++victim;
   Channel& ch = channels_[victim];
   ++fault_stats_.channel_drops;
   requeue_inflight(ch);
@@ -920,15 +921,26 @@ void TransferSession::collect_link_demands() {
     ch.rate = 0.0;
     ch.moved_this_tick = 0;
     if (!ch.busy) continue;
-    const auto& src = env_.source.servers[ch.src_server];
-    const auto& dst = env_.destination.servers[ch.dst_server];
-    const BitsPerSecond cpu_src = host::channel_cpu_cap(
-        src, src_procs[ch.src_server], src_threads[ch.src_server], ch.parallelism);
-    const BitsPerSecond cpu_dst = host::channel_cpu_cap(
-        dst, dst_procs[ch.dst_server], dst_threads[ch.dst_server], ch.parallelism);
-    caps[i] = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
-                        cpu_dst, host::channel_stream_cap(src, ch.parallelism),
-                        host::channel_stream_cap(dst, ch.parallelism)});
+    // The window/CPU/stream cap reads only the key below and the session's
+    // immutable environment, so it is recomputed only when the channel's
+    // layout changed — a full-key memo needs no invalidation hooks.
+    const Channel::CapKey key{ch.parallelism,
+                              src_procs[ch.src_server], src_threads[ch.src_server],
+                              dst_procs[ch.dst_server], dst_threads[ch.dst_server],
+                              ch.src_server, ch.dst_server};
+    if (ch.cap_key != key) {
+      const auto& src = env_.source.servers[ch.src_server];
+      const auto& dst = env_.destination.servers[ch.dst_server];
+      const BitsPerSecond cpu_src =
+          host::channel_cpu_cap(src, key.src_procs, key.src_threads, ch.parallelism);
+      const BitsPerSecond cpu_dst =
+          host::channel_cpu_cap(dst, key.dst_procs, key.dst_threads, ch.parallelism);
+      ch.static_cap = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
+                                cpu_dst, host::channel_stream_cap(src, ch.parallelism),
+                                host::channel_stream_cap(dst, ch.parallelism)});
+      ch.cap_key = key;
+    }
+    caps[i] = ch.static_cap;
     total_streams += ch.parallelism;
 
     // Duty cycle: the fraction of time this channel actually streams, given

@@ -281,6 +281,21 @@ class TransferSession : private FaultHost {
     int failures = 0;  ///< consecutive faults on this slot (reset on completion)
     /// Trace track this channel's lease span is open on (-1 = none).
     int obs_lane = -1;
+    // --- tick-invariant cap memo (MODEL.md §2) ---------------------------
+    /// Every input of min(p·window, cpu_src, cpu_dst, stream_src, stream_dst)
+    /// that can change during a run; the path and server specs cannot.
+    struct CapKey {
+      int parallelism = 0;
+      int src_procs = -1;  ///< -1 never matches a census: the memo starts empty
+      int src_threads = 0;
+      int dst_procs = 0;
+      int dst_threads = 0;
+      std::size_t src_server = 0;
+      std::size_t dst_server = 0;
+      bool operator==(const CapKey&) const = default;
+    };
+    CapKey cap_key{};
+    BitsPerSecond static_cap = 0.0;  ///< valid while cap_key matches the census
   };
 
   /// Per-tick workspace for allocate_rates(). Same lifetime as the session,
@@ -363,6 +378,8 @@ class TransferSession : private FaultHost {
   void obs_lease_end(Channel& ch, Seconds at);
   void obs_end_run(Seconds local_end, const RunResult& res);
 
+  /// Must outlive the session and stay unchanged while it runs: the
+  /// per-channel cap memo (Channel::cap_key) keys on everything else.
   const Environment& env_;
   TransferPlan plan_;
   SessionConfig config_;

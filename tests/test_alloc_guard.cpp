@@ -74,17 +74,13 @@ class AllocSnapshotController : public Controller {
   std::size_t count_ = 0;
 };
 
-TEST(AllocGuard, SteadyStateTicksAreAllocationFree) {
-  const auto env = small_env();
-  // One file far larger than the deadline allows: the run never completes
-  // and never resolves a file mid-tick, so every window past warm-up is
-  // pure steady state.
-  const auto ds = dataset_of({100ULL * kGB});
-  TransferPlan plan;
-  Chunk all{SizeClass::kLarge, {0}, 100ULL * kGB};
-  plan.chunks.push_back(all);
-  plan.params.push_back({1, 1, 2});
-
+/// Runs `plan` past its deadline and expects a flat allocation profile across
+/// the sampling windows once the session is warm. Every file must be far
+/// larger than the deadline allows: the run never completes and never
+/// resolves a file mid-tick, so every window past warm-up is pure steady
+/// state.
+void expect_steady_ticks_allocation_free(const Environment& env, const Dataset& ds,
+                                         const TransferPlan& plan) {
   SessionConfig cfg;
   cfg.tick = 0.1;
   cfg.sample_interval = 2.0;
@@ -103,6 +99,32 @@ TEST(AllocGuard, SteadyStateTicksAreAllocationFree) {
     EXPECT_EQ(ctl.at(i) - ctl.at(i - 1), 0u)
         << "heap allocation between sampling windows " << i - 1 << " and " << i;
   }
+}
+
+TEST(AllocGuard, SteadyStateTicksAreAllocationFree) {
+  const auto ds = dataset_of({100ULL * kGB});
+  TransferPlan plan;
+  Chunk all{SizeClass::kLarge, {0}, 100ULL * kGB};
+  plan.chunks.push_back(all);
+  plan.params.push_back({1, 1, 2});
+  expect_steady_ticks_allocation_free(small_env(), ds, plan);
+}
+
+TEST(AllocGuard, XsedeShapedSessionTicksAreAllocationFree) {
+  // Twelve channels spread over XSEDE's 4+4 DTNs: the per-server census, the
+  // per-channel cap memo and both sides' disk pools all run every tick.
+  Dataset ds;
+  TransferPlan plan;
+  Chunk all{SizeClass::kLarge, {}, 0};
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    ds.files.push_back({100ULL * kGB});
+    all.file_ids.push_back(i);
+    all.total += 100ULL * kGB;
+  }
+  plan.chunks.push_back(all);
+  plan.params.push_back({1, 2, 12});
+  plan.placement = Placement::kRoundRobin;
+  expect_steady_ticks_allocation_free(testbeds::xsede().env, ds, plan);
 }
 
 }  // namespace

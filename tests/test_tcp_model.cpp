@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace eadt::net {
 namespace {
 
@@ -50,6 +52,11 @@ TEST(TcpModel, WarmFractionReducesPenalty) {
   EXPECT_GT(cold, warm);
   EXPECT_GT(warm, hot);
   EXPECT_DOUBLE_EQ(hot, 0.0);
+  // A fully (or over-) warm channel gets the formula's own +0.0; a NaN warm
+  // fraction is not clamped away and still poisons the result.
+  EXPECT_FALSE(std::signbit(hot));
+  EXPECT_EQ(slow_start_penalty(p, 100 * kMB, 1.5), 0.0);
+  EXPECT_TRUE(std::isnan(slow_start_penalty(p, 100 * kMB, std::nan(""))));
 }
 
 TEST(TcpModel, TinyFilesPayNoSlowStart) {

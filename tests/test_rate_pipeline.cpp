@@ -7,8 +7,10 @@
 // sessions that walk through every layout mutation the engine has: server
 // outages that migrate channels, drops with backoff/revive/quarantine,
 // dry-chunk rebalances, SLAEE concurrency steps and its Large-chunk cap,
-// checkpoint resume, and a Scheduler schedule with preemption. A pure
-// performance change to the pipeline must leave every pin unchanged.
+// checkpoint resume, and a Scheduler schedule with preemption. Further pins
+// cover the per-server limits (NIC ceilings, single-disk pools on both sides)
+// and the edge ranges of the per-file overhead. A pure performance change to
+// the pipeline must leave every pin unchanged.
 //
 // The pins are exact bits: they assume IEEE doubles without FMA contraction
 // (x86-64 defaults), the same assumption as the committed bench golden.
@@ -22,6 +24,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/algorithms.hpp"
 #include "exp/runner.hpp"
 #include "exp/scheduler.hpp"
 #include "host/server.hpp"
@@ -245,6 +248,234 @@ TEST(RatePipelinePinned, SchedulerChurnWithPreemption) {
   EXPECT_GE(report.preemptions, 1);
   EXPECT_TRUE(report.accounting_consistent());
   EXPECT_PINNED(exp::scheduler_report_payload(report), 0x9d0ce99baf73d80bULL);
+}
+
+// --- per-server limits and the per-file overhead's edge ranges --------------
+//
+// The figure testbeds never bind a NIC ceiling and rarely put both sides'
+// disk pools under water at once; these pins walk the per-server limits and
+// every range boundary of the steady per-file overhead (the checksum pass,
+// zero RTT, a BDP below the initial window, files around max(BDP, 64 KiB),
+// and channels changing pipelining depth mid-run).
+
+/// Two servers per side behind a link far wider than either NIC: windows,
+/// CPU and disks all clear the NICs, so each server's NIC is its binding cap.
+Environment nic_env(BitsPerSecond src0, BitsPerSecond src1, BitsPerSecond dst0,
+                    BitsPerSecond dst1) {
+  auto env = small_env(2);
+  env.path = {gbps(10.0), 0.002, 32 * kMB, 1500};
+  for (auto* ep : {&env.source, &env.destination}) {
+    for (auto& s : ep->servers) {
+      s.cores = 8;
+      s.per_core_goodput = gbps(2.0);
+      s.disk = {host::DiskKind::kParallelArray, gbps(40.0), 1.0, 0.0};
+    }
+  }
+  env.source.servers[0].nic_speed = src0;
+  env.source.servers[1].nic_speed = src1;
+  env.destination.servers[0].nic_speed = dst0;
+  env.destination.servers[1].nic_speed = dst1;
+  return env;
+}
+
+TEST(RatePipelinePinned, NicCeilingsBelowTheLinkOnEitherSide) {
+  const auto ds = dataset_of({300 * kMB, 280 * kMB, 260 * kMB, 240 * kMB, 220 * kMB,
+                              200 * kMB, 30 * kMB, 20 * kMB});
+  auto plan = one_chunk_plan(ds, 6, 2);
+  plan.placement = Placement::kRoundRobin;
+  struct Case {
+    BitsPerSecond src0, src1, dst0, dst1;
+  };
+  const Case cases[] = {
+      {mbps(300.0), mbps(600.0), gbps(40.0), gbps(40.0)},  // source NICs bind
+      {gbps(40.0), gbps(40.0), mbps(500.0), mbps(250.0)},  // destination NICs bind
+      {mbps(400.0), mbps(900.0), mbps(700.0), mbps(200.0)},  // both sides bind
+  };
+  std::string all;
+  for (const Case& c : cases) {
+    const auto env = nic_env(c.src0, c.src1, c.dst0, c.dst1);
+    TransferSession session(env, ds, plan, fast_cfg());
+    const auto r = session.run();
+    ASSERT_TRUE(r.completed);
+    // Nothing but the NICs sits below the 10 Gbps link, so the NICs set the
+    // pace: the run can move no faster than the slower side's cards.
+    const BitsPerSecond nic_bound = std::min(c.src0 + c.src1, c.dst0 + c.dst1);
+    EXPECT_LE(r.avg_throughput(), nic_bound);
+    EXPECT_GT(r.avg_throughput(), 0.5 * nic_bound);
+    all += payload(r);
+  }
+  EXPECT_PINNED(all, 0x0c0afd6c8516208aULL);
+}
+
+TEST(RatePipelinePinned, SingleDiskPoolsOversubscribedOnBothSides) {
+  auto env = small_env(2);
+  env.path = {gbps(10.0), 0.004, 32 * kMB, 1500};
+  for (auto* ep : {&env.source, &env.destination}) {
+    for (auto& s : ep->servers) {
+      s.nic_speed = gbps(10.0);
+      s.cores = 8;
+      s.per_core_goodput = gbps(2.0);
+    }
+  }
+  env.source.servers[0].disk = {host::DiskKind::kSingleDisk, mbps(780.0), 0.0, 0.20};
+  env.source.servers[1].disk = {host::DiskKind::kSingleDisk, mbps(600.0), 0.0, 0.30};
+  env.destination.servers[0].disk = {host::DiskKind::kSingleDisk, mbps(500.0), 0.0, 0.25};
+  env.destination.servers[1].disk = {host::DiskKind::kSingleDisk, mbps(900.0), 0.0, 0.10};
+  const auto ds = mixed_dataset();
+  auto plan = two_chunk_plan(ds);
+  plan.params = {{1, 1, 4}, {1, 2, 4}};
+  plan.placement = Placement::kRoundRobin;
+  TransferSession session(env, ds, plan, fast_cfg());
+  const auto r = session.run();
+  ASSERT_TRUE(r.completed);
+  // Eight channels on four single disks: each pool thrashes well below the
+  // sum of its channels' caps, on the source and the destination alike.
+  EXPECT_LT(r.avg_throughput(), mbps(1400.0));
+  EXPECT_PINNED(payload(r), 0xc69be0997bb3dcabULL);
+}
+
+TEST(RatePipelinePinned, ChecksumPassScalesEveryFilesOverhead) {
+  const auto env = small_env();
+  const auto ds = mixed_dataset();
+  auto plan = two_chunk_plan(ds);
+  plan.params = {{1, 1, 2}, {1, 2, 2}};
+  plan.checksum_rate = gbps(2.0);
+  TransferSession session(env, ds, plan, fast_cfg());
+  const auto r = session.run();
+  ASSERT_TRUE(r.completed);
+  EXPECT_PINNED(payload(r), 0xa3d390cfa3e5ece0ULL);
+}
+
+TEST(RatePipelinePinned, ZeroRttAndSubInitialWindowBdpPaths) {
+  Dataset ds = mixed_dataset();
+  for (const Bytes b : {10 * kKB, 64 * kKB - 1, 64 * kKB, 64 * kKB + 1, 200 * kKB}) {
+    ds.files.push_back({b});
+  }
+  auto plan = two_chunk_plan(ds);
+  plan.params = {{1, 1, 2}, {1, 2, 2}};
+  std::string all;
+  for (const Seconds rtt : {0.0, 0.0002}) {
+    auto env = small_env();
+    env.path.rtt = rtt;  // 0.2 ms at 1 Gbps: a 25 kB BDP, below 64 KiB
+    ASSERT_LT(env.path.bdp(), 64 * kKB);
+    TransferSession session(env, ds, plan, fast_cfg());
+    const auto r = session.run();
+    ASSERT_TRUE(r.completed);
+    all += payload(r);
+  }
+  EXPECT_PINNED(all, 0x8508c56a42f429d6ULL);
+}
+
+TEST(RatePipelinePinned, FilesStraddlingTheSteadyOverheadThreshold) {
+  const auto env = small_env();
+  const Bytes bdp = env.path.bdp();
+  ASSERT_GT(bdp, 64 * kKB);
+  Dataset ds;
+  for (const Bytes b : {bdp - 1, bdp, bdp + 1, 64 * kKB - 1, 64 * kKB, 64 * kKB + 1,
+                        2 * bdp, bdp / 2, 3 * bdp + 7, 40 * kMB}) {
+    ds.files.push_back({b});
+  }
+  std::string all;
+  // Unpipelined channels pay the warm slow-start ramp; pipelined ones skip it.
+  for (const int pp : {1, 3}) {
+    auto plan = one_chunk_plan(ds, 3, 2);
+    plan.params[0].pipelining = pp;
+    TransferSession session(env, ds, plan, fast_cfg());
+    const auto r = session.run();
+    ASSERT_TRUE(r.completed);
+    all += payload(r);
+  }
+  EXPECT_PINNED(all, 0xe9b37a3afdbc3132ULL);
+}
+
+/// Counts, per tick, the open channels of each chunk.
+class ChunkCensus : public SessionObserver {
+ public:
+  void on_tick(const TickTrace& t) override {
+    std::vector<int> n;
+    for (const auto& ch : t.channels) {
+      if (ch.chunk < 0) continue;
+      const auto c = static_cast<std::size_t>(ch.chunk);
+      if (n.size() <= c) n.resize(c + 1, 0);
+      ++n[c];
+    }
+    ticks.push_back(std::move(n));
+  }
+  std::vector<std::vector<int>> ticks;
+};
+
+TEST(RatePipelinePinned, SlaeeMovesChannelsAcrossPipeliningDepths) {
+  const auto tb = tiny_xsede();
+  const auto ds = tb.make_dataset();
+  const auto plan = core::plan_slaee(tb.env, ds, 4);
+  // The chunks run different pipelining depths, so a channel SLAEE moves
+  // between them changes the depth its per-file overhead is computed for.
+  int min_pp = plan.params.front().pipelining, max_pp = min_pp;
+  for (const auto& p : plan.params) {
+    min_pp = std::min(min_pp, p.pipelining);
+    max_pp = std::max(max_pp, p.pipelining);
+  }
+  ASSERT_LT(min_pp, max_pp);
+  const auto promc = exp::run_algorithm(exp::Algorithm::kProMc, tb, ds, 12, fast_cfg());
+  core::SlaeeController controller(0.95 * promc.result.avg_throughput(), 4);
+  TransferSession session(tb.env, ds, plan, fast_cfg());
+  ChunkCensus census;
+  session.set_observer(&census);
+  const auto r = session.run(&controller);
+  ASSERT_TRUE(r.completed);
+  EXPECT_TRUE(controller.rearranged());
+  // Some chunk gained a channel on a tick another chunk lost one.
+  bool moved = false;
+  for (std::size_t i = 1; i < census.ticks.size() && !moved; ++i) {
+    const auto& a = census.ticks[i - 1];
+    const auto& b = census.ticks[i];
+    bool gained = false, lost = false;
+    for (std::size_t c = 0; c < std::max(a.size(), b.size()); ++c) {
+      const int before = c < a.size() ? a[c] : 0;
+      const int after = c < b.size() ? b[c] : 0;
+      gained |= after > before;
+      lost |= after < before;
+    }
+    moved = gained && lost;
+  }
+  EXPECT_TRUE(moved);
+  EXPECT_PINNED(payload(r) + " final=" + std::to_string(controller.final_level()),
+                0xdafadf9d77df339fULL);
+}
+
+// The planners give a depth above 1 only to chunks whose average file is
+// below the BDP, whose files stay below the steady-overhead floor. Here two
+// chunks that both hold files above the floor run different depths, so a
+// channel SLAEE moves between them keeps streaming steady-range files under
+// a new depth.
+TEST(RatePipelinePinned, SlaeeMovesChannelsBetweenSteadyRangeDepths) {
+  const auto env = small_env();
+  Dataset ds;
+  for (int i = 0; i < 60; ++i) ds.files.push_back({1 * kMB + i * 24 * kKB});
+  for (int i = 0; i < 24; ++i) ds.files.push_back({20 * kMB + i * kMB});
+  for (int i = 0; i < 6; ++i) ds.files.push_back({300 * kMB + i * 50 * kMB});
+  auto plan = core::plan_slaee(env, ds, 4);
+  const Bytes floor = std::max(env.path.bdp(), 64 * kKB + 1);
+  int deep = 0, shallow = 0;
+  for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
+    const auto& ids = plan.chunks[c].file_ids;
+    if (std::none_of(ids.begin(), ids.end(),
+                     [&](std::uint32_t id) { return ds.files[id].size >= floor; })) {
+      continue;
+    }
+    const bool make_deep = deep <= shallow;
+    plan.params[c].pipelining = make_deep ? 4 : 1;
+    ++(make_deep ? deep : shallow);
+  }
+  ASSERT_GT(deep, 0);
+  ASSERT_GT(shallow, 0);
+  core::SlaeeController controller(mbps(900.0), 4);
+  TransferSession session(env, ds, plan, fast_cfg());
+  const auto r = session.run(&controller);
+  ASSERT_TRUE(r.completed);
+  EXPECT_TRUE(controller.rearranged());
+  EXPECT_PINNED(payload(r) + " final=" + std::to_string(controller.final_level()),
+                0xea92b3970e1c1987ULL);
 }
 
 // Every bench testbed has identical servers per side, so a memoised cap that

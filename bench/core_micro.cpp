@@ -17,7 +17,10 @@
 //   * session_ticks — whole TransferSession steady-state ticks per second on
 //     DIDCLAB (1+1 servers, ProMC cc = 4);
 //   * session_ticks_xsede — the same on XSEDE (4+4 DTNs, ProMC cc = 12), where
-//     the per-channel caps and per-server loops carry real weight.
+//     the per-channel caps and per-server loops carry real weight;
+//   * session_ticks_diskbound — the same on DIDCLAB's single-disk servers at
+//     ProMC cc = 8, where both disk pools are oversubscribed and run their
+//     fair-share round on every busy tick.
 //
 // Wall-clock numbers are the *non-deterministic* side of the schema: the ops
 // counts are replay-stable, the rates are the perf trajectory.
@@ -549,6 +552,9 @@ int main(int argc, char** argv) {
   print_sample(record.micro.back());
   record.micro.push_back(
       bench_session_ticks("session_ticks_xsede", testbeds::xsede(), 12, opt.scale, nullptr));
+  print_sample(record.micro.back());
+  record.micro.push_back(bench_session_ticks("session_ticks_diskbound", testbeds::didclab(),
+                                             8, opt.scale, nullptr));
   print_sample(record.micro.back());
 
   record.total_wall_ms = std::chrono::duration<double, std::milli>(

@@ -6,6 +6,8 @@
 // and the residue is redistributed.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -65,6 +67,35 @@ BitsPerSecond fair_share_into(BitsPerSecond capacity, std::span<const Demand> de
 /// fair_share_reference_into's allocation equals the caps.
 [[nodiscard]] bool fair_share_fits(BitsPerSecond capacity,
                                    std::span<const Demand> demands);
+
+/// What fair_share_fits needs to know about a demand set whose weights are
+/// all 1.0, gathered one cap at a time (a session's disk pool, built while
+/// its channel caps are computed). `active` counts the caps > 0 and
+/// `max_cap` is the largest of them; `odd` flags a cap that is neither > 0
+/// nor +0.0 (-0.0, a negative, NaN), which the reference does not hand back.
+struct UnitDemandTally {
+  int active = 0;
+  bool odd = false;
+  BitsPerSecond max_cap = 0.0;
+
+  void add(BitsPerSecond cap) noexcept {
+    if (cap > 0.0) {
+      ++active;
+      max_cap = std::max(max_cap, cap);
+    } else if (!(cap == 0.0 && !std::signbit(cap))) {
+      odd = true;
+    }
+  }
+  /// Exactly fair_share_fits(capacity, set) for the unit-weight set tallied.
+  /// Unit weights sum to `active` exactly, so the round-1 share is
+  /// capacity / active, and every active cap fits under it iff the largest
+  /// does (no active cap is NaN).
+  [[nodiscard]] bool fits(BitsPerSecond capacity) const noexcept {
+    if (odd) return false;
+    if (active == 0) return true;
+    return capacity > 1e-9 && max_cap <= capacity / static_cast<double>(active);
+  }
+};
 
 /// Demand count at which fair_share_into switches from the reference loop to
 /// the waterfill solver. Session-sized rounds (dozens of channels) stay on

@@ -56,13 +56,18 @@ Joules per_packet_energy(net::DeviceKind kind, Bytes packet_bytes) {
 }
 
 Joules route_transfer_energy(const net::Route& route, Bytes bytes, Bytes mtu) {
+  return packet_chain_energy(route_packet_chain_energy(route, mtu), bytes, mtu);
+}
+
+Joules route_packet_chain_energy(const net::Route& route, Bytes mtu) {
+  Joules chain = 0.0;
+  for (const auto& dev : route.devices()) chain += per_packet_energy(dev.kind, mtu);
+  return chain;
+}
+
+Joules packet_chain_energy(Joules chain, Bytes bytes, Bytes mtu) {
   if (bytes == 0 || mtu == 0) return 0.0;
-  const double packets = std::ceil(static_cast<double>(bytes) / static_cast<double>(mtu));
-  Joules per_packet_chain = 0.0;
-  for (const auto& dev : route.devices()) {
-    per_packet_chain += per_packet_energy(dev.kind, mtu);
-  }
-  return packets * per_packet_chain;
+  return std::ceil(static_cast<double>(bytes) / static_cast<double>(mtu)) * chain;
 }
 
 std::vector<DeviceKindEnergy> route_transfer_energy_by_kind(const net::Route& route,

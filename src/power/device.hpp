@@ -90,6 +90,15 @@ struct PerPacketCoefficients {
 /// the paper's Figure 10 which considers only the load-dependent part).
 [[nodiscard]] Joules route_transfer_energy(const net::Route& route, Bytes bytes, Bytes mtu);
 
+/// Load-dependent energy of one `mtu`-byte packet through every device of
+/// `route` (Eq. 5's per-packet chain). Fixed for a given route and MTU, so a
+/// session computes it once.
+[[nodiscard]] Joules route_packet_chain_energy(const net::Route& route, Bytes mtu);
+
+/// ceil(bytes / mtu) packets at `chain` joules each (0 for no bytes or no
+/// MTU): route_transfer_energy with the chain already summed, bit for bit.
+[[nodiscard]] Joules packet_chain_energy(Joules chain, Bytes bytes, Bytes mtu);
+
 /// Same, broken down by device kind (one entry per kind present, summed over
 /// all devices of that kind on the route).
 struct DeviceKindEnergy {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -115,6 +116,16 @@ TransferSession::TransferSession(sim::Simulation* external, const Environment& e
   dst_srv_up_.assign(env_.destination.servers.size(), 1);
   src_srv_down_since_.assign(env_.source.servers.size(), 0.0);
   dst_srv_down_since_.assign(env_.destination.servers.size(), 0.0);
+  scratch_.src_tally.resize(env_.source.servers.size());
+  scratch_.dst_tally.resize(env_.destination.servers.size());
+  // At and above max(BDP, 64 KiB + 1) slow_start_penalty ramps to the fixed
+  // target max(BDP, 64 KiB) and no other overhead term reads the file size,
+  // unless a checksum pass scales the overhead with it.
+  constexpr Bytes kSteadyMin = 64 * kKB + 1;
+  steady_floor_ = plan_.checksum_rate > 0.0
+                      ? std::numeric_limits<Bytes>::max()
+                      : std::max(env_.path.bdp(), kSteadyMin);
+  route_chain_ = power::route_packet_chain_energy(env_.route, env_.path.mtu);
 }
 
 void TransferSession::set_fault_plan(FaultPlan plan) {
@@ -890,24 +901,20 @@ void TransferSession::collect_link_demands() {
   const auto& path = env_.path;
   const BitsPerSecond window_cap = net::stream_window_cap(path);
 
-  // Per-server resident load (processes/threads), needed for CPU caps. All
-  // working vectors live in scratch_ so a steady-state tick never allocates.
-  const std::size_t ns = env_.source.servers.size();
-  const std::size_t nd = env_.destination.servers.size();
-  auto& src_procs = scratch_.src_procs;
-  auto& src_threads = scratch_.src_threads;
-  auto& dst_procs = scratch_.dst_procs;
-  auto& dst_threads = scratch_.dst_threads;
-  src_procs.assign(ns, 0);
-  src_threads.assign(ns, 0);
-  dst_procs.assign(nd, 0);
-  dst_threads.assign(nd, 0);
+  // Per-server resident load (processes/threads), needed for CPU caps. The
+  // tallies live in scratch_ so a steady-state tick never allocates.
+  auto& src_tally = scratch_.src_tally;
+  auto& dst_tally = scratch_.dst_tally;
+  std::fill(src_tally.begin(), src_tally.end(), ServerTally{});
+  std::fill(dst_tally.begin(), dst_tally.end(), ServerTally{});
   for (const auto& ch : channels_) {
     if (ch.down) continue;  // a dead connection holds no server processes
-    ++src_procs[ch.src_server];
-    src_threads[ch.src_server] += ch.parallelism;
-    ++dst_procs[ch.dst_server];
-    dst_threads[ch.dst_server] += ch.parallelism;
+    ServerTally& src = src_tally[ch.src_server];
+    ServerTally& dst = dst_tally[ch.dst_server];
+    ++src.procs;
+    src.threads += ch.parallelism;
+    ++dst.procs;
+    dst.threads += ch.parallelism;
   }
 
   // Per-channel caps before disk: TCP windows and CPU shares on both ends.
@@ -921,13 +928,13 @@ void TransferSession::collect_link_demands() {
     ch.rate = 0.0;
     ch.moved_this_tick = 0;
     if (!ch.busy) continue;
+    ServerTally& src_t = src_tally[ch.src_server];
+    ServerTally& dst_t = dst_tally[ch.dst_server];
     // The window/CPU/stream cap reads only the key below and the session's
     // immutable environment, so it is recomputed only when the channel's
     // layout changed — a full-key memo needs no invalidation hooks.
-    const Channel::CapKey key{ch.parallelism,
-                              src_procs[ch.src_server], src_threads[ch.src_server],
-                              dst_procs[ch.dst_server], dst_threads[ch.dst_server],
-                              ch.src_server, ch.dst_server};
+    const Channel::CapKey key{ch.parallelism, src_t.procs, src_t.threads, dst_t.procs,
+                              dst_t.threads, ch.src_server, ch.dst_server};
     if (ch.cap_key != key) {
       const auto& src = env_.source.servers[ch.src_server];
       const auto& dst = env_.destination.servers[ch.dst_server];
@@ -948,22 +955,40 @@ void TransferSession::collect_link_demands() {
     // *consumes* bandwidth while transferring, so its fair-share demand is
     // duty-weighted; it bursts at rate/duty when it does send.
     const Bytes fsize = std::max<Bytes>(ch.work.remaining, 1);
-    const Seconds overhead = per_file_overhead(ch, fsize, false);
+    Seconds overhead;
+    if (fsize >= steady_floor_) {
+      // Warm large file: the overhead reads only the pipelining depth.
+      if (ch.steady_pp != ch.pipelining) {
+        ch.steady_overhead = per_file_overhead(ch, fsize, false);
+        ch.steady_pp = ch.pipelining;
+      }
+      overhead = ch.steady_overhead;
+    } else {
+      overhead = per_file_overhead(ch, fsize, false);
+    }
     const Seconds tx = caps[i] > 0.0 ? to_bits(fsize) / caps[i] : 0.0;
     duty[i] = (overhead > 0.0 && tx > 0.0) ? tx / (tx + overhead) : 1.0;
     duty[i] = std::max(duty[i], 0.05);
     caps[i] *= duty[i];
+    src_t.pool.add(caps[i]);
+    dst_t.pool.add(caps[i]);
   }
 
   // Disk pools are work-conserving: each server's aggregate disk bandwidth is
   // shared max-min across its channels, so a channel stalling on per-file
   // overheads donates its slack to streaming channels (this is what lets a
-  // multi-chunk schedule beat sequential phases).
-  auto apply_disk_pool = [&](const std::vector<host::ServerSpec>& servers,
-                             bool source_side, const std::vector<int>& procs) {
+  // multi-chunk schedule beat sequential phases). A pool its tally says every
+  // channel fits under hands each its cap back unchanged (MODEL.md §3); only
+  // the others gather their demands and run the round. Returns true when
+  // some pool ran it.
+  auto apply_disk_pools = [&](const std::vector<host::ServerSpec>& servers,
+                              const std::vector<ServerTally>& tally, bool source_side) {
+    bool reshaped = false;
     for (std::size_t s = 0; s < servers.size(); ++s) {
-      if (procs[s] <= 0) continue;
-      const BitsPerSecond pool = host::disk_aggregate_bandwidth(servers[s].disk, procs[s]);
+      if (tally[s].procs <= 0) continue;
+      const BitsPerSecond pool =
+          host::disk_aggregate_bandwidth(servers[s].disk, tally[s].procs);
+      if (tally[s].pool.fits(pool)) continue;
       auto& d = scratch_.pool_demands;
       auto& idx = scratch_.pool_index;
       d.clear();
@@ -975,16 +1000,22 @@ void TransferSession::collect_link_demands() {
         d.push_back({caps[i], 1.0});
         idx.push_back(i);
       }
-      // A pool every channel fits under hands each its cap back unchanged.
-      if (net::fair_share_fits(pool, d)) continue;
       net::fair_share_into(pool, d, scratch_.pool_alloc, scratch_.fair_share);
       for (std::size_t k = 0; k < idx.size(); ++k) {
         caps[idx[k]] = std::min(caps[idx[k]], scratch_.pool_alloc[k]);
       }
+      reshaped = true;
     }
+    return reshaped;
   };
-  apply_disk_pool(env_.source.servers, true, src_procs);
-  apply_disk_pool(env_.destination.servers, false, dst_procs);
+  if (apply_disk_pools(env_.source.servers, src_tally, true)) {
+    // Recount the destination pools from the reshaped caps.
+    for (auto& t : dst_tally) t.pool = {};
+    for (std::size_t i = 0; i < channels_.size(); ++i) {
+      if (channels_[i].busy) dst_tally[channels_[i].dst_server].pool.add(caps[i]);
+    }
+  }
+  apply_disk_pools(env_.destination.servers, dst_tally, false);
 
   auto& demands = scratch_.link_demands;
   demands.assign(channels_.size(), net::Demand{});
@@ -1022,39 +1053,48 @@ std::span<const net::DemandGroup> TransferSession::link_demand_groups() {
 void TransferSession::apply_link_allocation(std::span<const BitsPerSecond> alloc,
                                             const double eff, const double burst_cap) {
   const auto& duty = scratch_.duty;
+  auto& src_tally = scratch_.src_tally;
+  auto& dst_tally = scratch_.dst_tally;
+  for (auto& t : src_tally) t.nic_load = 0.0;
+  for (auto& t : dst_tally) t.nic_load = 0.0;
   for (std::size_t i = 0; i < channels_.size(); ++i) {
+    Channel& ch = channels_[i];
     double jitter = 1.0;
     if (env_.rate_jitter_sd > 0.0) {
       // Multiplicative noise, floored so a draw never stalls a channel.
       jitter = std::max(0.1, 1.0 + jitter_rng_.normal(0.0, env_.rate_jitter_sd));
     }
-    channels_[i].rate =
-        alloc[i] * eff * std::min(1.0 / duty[i], burst_cap) * jitter;
+    ch.rate = alloc[i] * eff * std::min(1.0 / duty[i], burst_cap) * jitter;
+    src_tally[ch.src_server].nic_load += ch.rate * duty[i];
+    dst_tally[ch.dst_server].nic_load += ch.rate * duty[i];
   }
 
   // NIC ceilings per server: proportional scale-down if the *average* load
-  // (burst rate x duty) oversubscribes the card.
-  auto nic_scale = [&](const std::vector<host::ServerSpec>& servers, bool source_side) {
+  // (burst rate x duty) oversubscribes the card. Returns true when some
+  // server's channels were scaled.
+  auto nic_scale = [&](const std::vector<host::ServerSpec>& servers,
+                       const std::vector<ServerTally>& tally, bool source_side) {
+    bool scaled = false;
     for (std::size_t s = 0; s < servers.size(); ++s) {
-      if (servers[s].nic_speed <= 0.0) continue;
-      double sum = 0.0;
-      for (std::size_t i = 0; i < channels_.size(); ++i) {
-        const std::size_t at =
-            source_side ? channels_[i].src_server : channels_[i].dst_server;
-        if (at == s) sum += channels_[i].rate * duty[i];
+      if (servers[s].nic_speed <= 0.0 || !(tally[s].nic_load > servers[s].nic_speed)) {
+        continue;
       }
-      if (sum > servers[s].nic_speed) {
-        const double f = servers[s].nic_speed / sum;
-        for (std::size_t i = 0; i < channels_.size(); ++i) {
-          const std::size_t at =
-              source_side ? channels_[i].src_server : channels_[i].dst_server;
-          if (at == s) channels_[i].rate *= f;
-        }
+      const double f = servers[s].nic_speed / tally[s].nic_load;
+      for (auto& ch : channels_) {
+        if ((source_side ? ch.src_server : ch.dst_server) == s) ch.rate *= f;
       }
+      scaled = true;
     }
+    return scaled;
   };
-  nic_scale(env_.source.servers, true);
-  nic_scale(env_.destination.servers, false);
+  if (nic_scale(env_.source.servers, src_tally, true)) {
+    // The destination loads must see the scaled rates.
+    for (auto& t : dst_tally) t.nic_load = 0.0;
+    for (std::size_t i = 0; i < channels_.size(); ++i) {
+      dst_tally[channels_[i].dst_server].nic_load += channels_[i].rate * duty[i];
+    }
+  }
+  nic_scale(env_.destination.servers, dst_tally, false);
 }
 
 void TransferSession::allocate_rates() {
@@ -1129,22 +1169,31 @@ void TransferSession::advance_channels(Seconds dt) {
 }
 
 Joules TransferSession::account_energy(Seconds dt) {
+  auto& src_tally = scratch_.src_tally;
+  auto& dst_tally = scratch_.dst_tally;
+  for (auto& t : src_tally) t.load = {};
+  for (auto& t : dst_tally) t.load = {};
   Bytes tick_bytes = 0;
-  Joules tick_energy = 0.0;
+  for (const auto& ch : channels_) {
+    tick_bytes += ch.moved_this_tick;
+    if (ch.down) continue;  // no process, no load, no power draw
+    const BitsPerSecond goodput = static_cast<double>(ch.moved_this_tick) * 8.0 / dt;
+    const Bytes buffered = static_cast<Bytes>(ch.parallelism) * env_.path.tcp_buffer;
+    for (host::HostLoad* load : {&src_tally[ch.src_server].load,
+                                 &dst_tally[ch.dst_server].load}) {
+      ++load->processes;
+      load->threads += ch.parallelism;
+      load->goodput += goodput;
+      load->buffered += buffered;
+    }
+  }
 
-  auto account_side = [&](const Endpoint& ep, std::vector<ServerEnergy>& store,
-                          bool source_side) {
+  // Eq. 1-2 per server, in server order (source side first).
+  Joules tick_energy = 0.0;
+  auto account_side = [&](const Endpoint& ep, std::vector<ServerTally>& tally,
+                          std::vector<ServerEnergy>& store) {
     for (std::size_t s = 0; s < ep.servers.size(); ++s) {
-      host::HostLoad load;
-      for (const auto& ch : channels_) {
-        if (ch.down) continue;  // no process, no load, no power draw
-        const std::size_t at = source_side ? ch.src_server : ch.dst_server;
-        if (at != s) continue;
-        ++load.processes;
-        load.threads += ch.parallelism;
-        load.goodput += static_cast<double>(ch.moved_this_tick) * 8.0 / dt;
-        load.buffered += static_cast<Bytes>(ch.parallelism) * env_.path.tcp_buffer;
-      }
+      host::HostLoad& load = tally[s].load;
       if (load.processes == 0) continue;
       load.disk_io = load.goodput;
       const auto u = host::utilization(ep.servers[s], load);
@@ -1156,12 +1205,11 @@ Joules TransferSession::account_energy(Seconds dt) {
       tick_energy += p * dt;
     }
   };
-  account_side(env_.source, src_energy_, true);
-  account_side(env_.destination, dst_energy_, false);
+  account_side(env_.source, src_tally, src_energy_);
+  account_side(env_.destination, dst_tally, dst_energy_);
 
-  for (const auto& ch : channels_) tick_bytes += ch.moved_this_tick;
   last_tick_bytes_ = tick_bytes;
-  network_energy_ += power::route_transfer_energy(env_.route, tick_bytes, env_.path.mtu);
+  network_energy_ += power::packet_chain_energy(route_chain_, tick_bytes, env_.path.mtu);
   return tick_energy;
 }
 

@@ -296,14 +296,32 @@ class TransferSession : private FaultHost {
     };
     CapKey cap_key{};
     BitsPerSecond static_cap = 0.0;  ///< valid while cap_key matches the census
+    // --- steady per-file overhead memo (MODEL.md §4) ----------------------
+    /// Pipelining depth steady_overhead was computed for; 0 never matches
+    /// (assign_channel clamps depths to >= 1), so the memo starts empty.
+    int steady_pp = 0;
+    /// per_file_overhead(size, warm) for any size >= steady_floor_: the only
+    /// input left in that range is the pipelining depth.
+    Seconds steady_overhead = 0.0;
   };
+
+  /// One server's totals for the current tick, filled by single passes over
+  /// channels_ (MODEL.md §3, §6). One cache line per server.
+  struct ServerTally {
+    int procs = 0;    ///< live channels resident here (CPU census, disk pool size)
+    int threads = 0;  ///< their parallel streams
+    net::UnitDemandTally pool;  ///< the disk pool's busy-channel caps
+    BitsPerSecond nic_load = 0.0;  ///< sum of rate x duty, NIC ceiling input
+    host::HostLoad load;           ///< Eq. 1-2 input, built by account_energy
+  };
+  static_assert(sizeof(ServerTally) <= 64, "a server's tally fits one cache line");
 
   /// Per-tick workspace for allocate_rates(). Same lifetime as the session,
   /// so every vector keeps its capacity between ticks and the steady-state
   /// rate pipeline performs zero heap allocations (MODEL.md §11; pinned by
   /// the alloc-guard test). Scratch only — never carries state across ticks.
   struct RateScratch {
-    std::vector<int> src_procs, src_threads, dst_procs, dst_threads;
+    std::vector<ServerTally> src_tally, dst_tally;  ///< sized once, per server
     std::vector<double> caps, duty;
     std::vector<net::Demand> pool_demands;      ///< one disk pool at a time
     std::vector<std::size_t> pool_index;
@@ -398,6 +416,11 @@ class TransferSession : private FaultHost {
   /// timeline (always 0.0 for an owned simulation).
   Seconds start_time_ = 0.0;
   RateScratch scratch_;
+  /// Smallest file size whose warm per-file overhead no longer reads the
+  /// size (Channel::steady_overhead); never reached with a checksum pass.
+  Bytes steady_floor_ = 0;
+  /// Eq. 5 energy of one MTU packet across env_.route (fixed for the run).
+  Joules route_chain_ = 0.0;
   // Aggregates of the last collect_link_demands() pass, inputs to the
   // (possibly shared) congestion model.
   double agg_demand_ = 0.0;

@@ -78,9 +78,10 @@ class AllocSnapshotController : public Controller {
 /// the sampling windows once the session is warm. Every file must be far
 /// larger than the deadline allows: the run never completes and never
 /// resolves a file mid-tick, so every window past warm-up is pure steady
-/// state.
+/// state. The run's result lands in `*result` when given.
 void expect_steady_ticks_allocation_free(const Environment& env, const Dataset& ds,
-                                         const TransferPlan& plan) {
+                                         const TransferPlan& plan,
+                                         RunResult* result = nullptr) {
   SessionConfig cfg;
   cfg.tick = 0.1;
   cfg.sample_interval = 2.0;
@@ -90,6 +91,7 @@ void expect_steady_ticks_allocation_free(const Environment& env, const Dataset& 
   AllocSnapshotController ctl;
   const auto r = session.run(&ctl);
   EXPECT_FALSE(r.completed);
+  if (result != nullptr) *result = r;
 
   // ~60 windows; the first few may still grow scratch capacity (rate
   // vectors, the event heap, the samples reserve) — after that, flat.
@@ -125,6 +127,45 @@ TEST(AllocGuard, XsedeShapedSessionTicksAreAllocationFree) {
   plan.params.push_back({1, 2, 12});
   plan.placement = Placement::kRoundRobin;
   expect_steady_ticks_allocation_free(testbeds::xsede().env, ds, plan);
+}
+
+TEST(AllocGuard, PoolBoundAndNicBoundSessionTicksAreAllocationFree) {
+  // Eight channels over 2+2 servers behind a 10 Gbps link. The source disks
+  // are single spindles that thrash under four channels each, so both source
+  // pools run their fair-share round every tick and reshape the caps (the
+  // destination pools are then recounted); the destination NICs sit below
+  // what the source pools deliver, so both ceilings scale rates every tick.
+  auto env = small_env(2);
+  env.path = {gbps(10.0), 0.002, 32 * kMB, 1500};
+  for (auto* ep : {&env.source, &env.destination}) {
+    for (auto& s : ep->servers) {
+      s.cores = 8;
+      s.per_core_goodput = gbps(2.0);
+      s.nic_speed = gbps(10.0);
+      s.disk = {host::DiskKind::kParallelArray, gbps(40.0), 1.0, 0.0};
+    }
+  }
+  for (auto& s : env.source.servers) {
+    s.disk = {host::DiskKind::kSingleDisk, gbps(1.0), 0.0, 0.2};
+  }
+  env.destination.servers[0].nic_speed = mbps(400.0);
+  env.destination.servers[1].nic_speed = mbps(300.0);
+  Dataset ds;
+  TransferPlan plan;
+  Chunk all{SizeClass::kLarge, {}, 0};
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    ds.files.push_back({100ULL * kGB});
+    all.file_ids.push_back(i);
+    all.total += 100ULL * kGB;
+  }
+  plan.chunks.push_back(all);
+  plan.params.push_back({1, 2, 8});
+  plan.placement = Placement::kRoundRobin;
+  RunResult r;
+  expect_steady_ticks_allocation_free(env, ds, plan, &r);
+  // The NICs, not the pools or the link, set the pace.
+  EXPECT_LE(r.avg_throughput(), mbps(700.0));
+  EXPECT_GT(r.avg_throughput(), mbps(600.0));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace eadt::power {
 namespace {
@@ -136,6 +137,40 @@ TEST(RouteEnergy, ByKindAggregatesDuplicates) {
           std::ceil(static_cast<double>(1 * kGB) / 1500.0) *
           per_packet_energy(net::DeviceKind::kMetroRouter, 1500);
       EXPECT_NEAR(p.joules, 3.0 * single, single * 1e-9);
+    }
+  }
+}
+
+// A session sums the per-packet chain once and prices each tick's bytes
+// with it; that must be the route walk's arithmetic, bit for bit.
+TEST(RouteEnergy, HoistedChainIsBitwiseTheRouteWalk) {
+  const net::Route routes[] = {net::xsede_route(), net::futuregrid_route(),
+                               net::didclab_route(), net::Route{}};
+  const Bytes bytes_list[] = {0, 1, 1499, 1500, 1501, 9000, 123456789, 10 * kGB,
+                              (1ULL << 53) + 1};
+  for (const auto& route : routes) {
+    for (const Bytes mtu : {Bytes{0}, Bytes{1}, Bytes{576}, Bytes{1500}, Bytes{9000},
+                            Bytes{65536}}) {
+      const Joules chain = route_packet_chain_energy(route, mtu);
+      for (const Bytes bytes : bytes_list) {
+        // The per-call walk as it read before the chain was hoisted.
+        Joules walk = 0.0;
+        if (bytes != 0 && mtu != 0) {
+          const double packets =
+              std::ceil(static_cast<double>(bytes) / static_cast<double>(mtu));
+          Joules per_packet_chain = 0.0;
+          for (const auto& dev : route.devices()) {
+            per_packet_chain += per_packet_energy(dev.kind, mtu);
+          }
+          walk = packets * per_packet_chain;
+        }
+        const Joules hoisted = packet_chain_energy(chain, bytes, mtu);
+        const Joules whole = route_transfer_energy(route, bytes, mtu);
+        EXPECT_EQ(std::memcmp(&hoisted, &walk, sizeof walk), 0)
+            << "bytes=" << bytes << " mtu=" << mtu << ": " << hoisted << " vs " << walk;
+        EXPECT_EQ(std::memcmp(&whole, &walk, sizeof walk), 0)
+            << "bytes=" << bytes << " mtu=" << mtu << ": " << whole << " vs " << walk;
+      }
     }
   }
 }

@@ -383,5 +383,61 @@ TEST(FairShareFits, BoundaryIsTheReferenceComparison) {
   EXPECT_FALSE(fair_share_fits(1e-9, std::vector<Demand>{{1e-12, 1.0}}));
 }
 
+// A session decides each disk pool from a tally built while its channel
+// caps are computed (unit weights, one add() per busy channel), not from the
+// demand set. The two predicates must agree on every unit-weight set, over
+// every cap the reference treats specially and capacities on both sides of
+// its 1e-9 cut-off and of the exact round-1 share.
+TEST(FairShareFits, UnitTallyAgreesWithTheDemandSetPredicate) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double special_caps[] = {0.0, -0.0, nan, inf, -inf, tiny, 1e-310, -1e-310,
+                                 -gbps(1.0), 1e-9, 5e-10};
+  const double special_capacities[] = {0.0,  -0.0, 1e-9, std::nextafter(1e-9, 0.0),
+                                       std::nextafter(1e-9, 1.0), 5e-10, 2e-9, nan,
+                                       inf,  -inf, tiny, -gbps(1.0)};
+  constexpr int kSpecialCaps = sizeof special_caps / sizeof special_caps[0];
+  constexpr int kSpecialCapacities = sizeof special_capacities / sizeof special_capacities[0];
+  Rng rng(0x7A11E5);
+  int fits = 0;
+  int misfits = 0;
+  for (int round = 0; round < 40000; ++round) {
+    const int n = static_cast<int>(rng.uniform_int(0, 10));
+    // Around the cut-off, caps are scaled down with the capacity.
+    const double scale = rng.uniform01() < 0.2 ? 1e-18 : 1.0;
+    std::vector<Demand> d;
+    UnitDemandTally tally;
+    double max_cap = 0.0;
+    for (int i = 0; i < n; ++i) {
+      double cap = rng.uniform(1e6, 1e9) * scale;
+      if (rng.uniform01() < 0.1) cap = special_caps[rng.uniform_int(0, kSpecialCaps - 1)];
+      d.push_back({cap, 1.0});
+      tally.add(cap);
+      if (cap > 0.0) max_cap = std::max(max_cap, cap);
+    }
+    double capacity = 0.0;
+    const double pick = rng.uniform01();
+    if (pick < 0.15) {
+      capacity = special_capacities[rng.uniform_int(0, kSpecialCapacities - 1)];
+    } else if (pick < 0.45 && tally.active > 0) {
+      // The exact round-1 boundary, and one ulp either side of it.
+      capacity = max_cap * static_cast<double>(tally.active);
+      const double step = rng.uniform01();
+      if (step < 1.0 / 3.0) capacity = std::nextafter(capacity, 0.0);
+      if (step > 2.0 / 3.0) capacity = std::nextafter(capacity, inf);
+    } else {
+      capacity = max_cap * rng.uniform(0.5, 2.0 * std::max(1, n));
+    }
+    const bool expected = fair_share_fits(capacity, d);
+    ASSERT_EQ(tally.fits(capacity), expected)
+        << "round " << round << " n=" << n << " capacity=" << capacity
+        << " max_cap=" << max_cap << " active=" << tally.active << " odd=" << tally.odd;
+    ++(expected ? fits : misfits);
+  }
+  EXPECT_GT(fits, 5000);
+  EXPECT_GT(misfits, 5000);
+}
+
 }  // namespace
 }  // namespace eadt::net

@@ -257,6 +257,14 @@ testbeds::Testbed scaled(testbeds::Testbed t, unsigned divisor) {
   return t;
 }
 
+/// How many of a sweep's tasks copied a bit-identical session run by an
+/// earlier task instead of running their own (SweepTaskResult::shared_from).
+void print_session_reuse(const std::vector<exp::SweepTaskResult>& tasks) {
+  const auto reused = std::count_if(tasks.begin(), tasks.end(),
+                                    [](const auto& t) { return t.shared_from.has_value(); });
+  std::cout << reused << " of " << tasks.size() << " tasks reused an identical session\n";
+}
+
 }  // namespace
 
 void run_concurrency_figure(const testbeds::Testbed& base, const Options& opt) {
@@ -401,6 +409,7 @@ void run_concurrency_figure(const testbeds::Testbed& base, const Options& opt) {
             << "  ProMC peak throughput: " << Table::num(promc12.throughput_mbps(), 0)
             << " Mbps\n\n";
 
+  print_session_reuse(results);
   exp::BenchRecord record;
   record.total_wall_ms = sweep_ms;
   record.tasks = results;
@@ -476,6 +485,7 @@ void run_sla_figure(const testbeds::Testbed& base, int promc_level, const Option
     record.tasks.push_back(r);
     record.tasks.back().index = record.tasks.size() - 1;
   }
+  print_session_reuse(record.tasks);
   if (collector) {
     write_obs_outputs(opt, *collector);
     print_histogram_percentiles(opt, *collector);

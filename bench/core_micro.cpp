@@ -477,9 +477,11 @@ exp::MicroSample bench_fleet_round(int calls) {
 }
 
 /// Whole-session ticks of a ProMC run at concurrency `cc` on `t`. A run lasts
-/// only a few milliseconds, so an unobserved series reports the median of
-/// seven identical runs; an observed one runs once, so its trace holds one
-/// session.
+/// only a few milliseconds, so an unobserved series repeats identical runs
+/// until kMinSeriesMs of wall time has passed and reports ops/s over that
+/// total; an observed one runs once, so its trace holds one session.
+constexpr double kMinSeriesMs = 200.0;
+
 exp::MicroSample bench_session_ticks(const char* name, testbeds::Testbed t, int cc,
                                      unsigned scale, obs::ObsSinks* sinks) {
   t.recipe.total_bytes = std::max<Bytes>(t.recipe.total_bytes / scale, 64ULL << 20);
@@ -487,19 +489,16 @@ exp::MicroSample bench_session_ticks(const char* name, testbeds::Testbed t, int 
   const auto plan = baselines::plan_promc(t.env, ds, cc);
   proto::SessionConfig config;
   config.obs = sinks;  // null on unobserved runs: the timed loop is untouched
-  const int reps = sinks != nullptr ? 1 : 7;
-  std::vector<double> walls;
+  double ms = 0.0;
   std::uint64_t ticks = 0;
-  for (int r = 0; r < reps; ++r) {
+  do {
     proto::TransferSession session(t.env, ds, plan, config);
     const auto t0 = std::chrono::steady_clock::now();
     const auto res = session.run();
-    walls.push_back(ms_since(t0));
+    ms += ms_since(t0);
     g_sink = res.duration;
-    ticks = res.sim_counters.ticks;
-  }
-  std::sort(walls.begin(), walls.end());
-  const double ms = walls[walls.size() / 2];
+    ticks += res.sim_counters.ticks;
+  } while (sinks == nullptr && ms < kMinSeriesMs);
 
   exp::MicroSample m;
   m.name = name;

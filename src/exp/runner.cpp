@@ -1,6 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "obs/obs.hpp"
 
@@ -33,54 +34,55 @@ std::vector<Algorithm> figure_algorithms() {
           Algorithm::kMinE, Algorithm::kProMc, Algorithm::kHtee};
 }
 
+PlannedRun plan_algorithm(Algorithm algorithm, const proto::Environment& env,
+                          const proto::Dataset& dataset, int max_channels,
+                          const proto::SessionConfig& config) {
+  switch (algorithm) {
+    case Algorithm::kGuc: return {baselines::plan_guc(env, dataset), 1};
+    case Algorithm::kGo: return {baselines::plan_go(env, dataset), 2};
+    case Algorithm::kSc:
+      return {baselines::plan_single_chunk(env, dataset, max_channels), max_channels};
+    case Algorithm::kMinE:
+      return {core::plan_min_energy(env, dataset, max_channels, decision_log(config)),
+              max_channels};
+    case Algorithm::kProMc:
+      return {baselines::plan_promc(env, dataset, max_channels), max_channels};
+    case Algorithm::kHtee:
+      return {core::plan_htee(env, dataset, max_channels, decision_log(config)),
+              max_channels};
+    case Algorithm::kBf:
+      return {baselines::plan_brute_force(env, dataset, max_channels), max_channels};
+  }
+  return {};
+}
+
+RunOutcome execute_algorithm(Algorithm algorithm, const proto::Environment& env,
+                             const proto::Dataset& dataset, int max_channels,
+                             PlannedRun planned, const proto::SessionConfig& config,
+                             proto::FaultPlan faults, const CheckpointSink& checkpoints) {
+  RunOutcome out;
+  out.algorithm = algorithm;
+  out.concurrency = max_channels;
+  out.chosen_concurrency = planned.chosen_concurrency;
+
+  std::optional<core::HteeController> htee;
+  if (algorithm == Algorithm::kHtee) htee.emplace(max_channels);
+  proto::TransferSession session(env, dataset, std::move(planned.plan), config);
+  session.set_fault_plan(std::move(faults));
+  if (checkpoints) session.set_checkpoint_sink(checkpoints);
+  out.result = session.run(htee ? &*htee : nullptr);
+  if (htee) out.chosen_concurrency = htee->chosen_level();
+  return out;
+}
+
 RunOutcome run_algorithm(Algorithm algorithm, const testbeds::Testbed& testbed,
                          const proto::Dataset& dataset, int max_channels,
                          proto::SessionConfig config, proto::FaultPlan faults,
                          const CheckpointSink& checkpoints) {
-  RunOutcome out;
-  out.algorithm = algorithm;
-  out.concurrency = max_channels;
-  out.chosen_concurrency = max_channels;
-
-  const auto& env = testbed.env;
-  const auto execute = [&](proto::TransferPlan plan,
-                           proto::Controller* controller = nullptr) {
-    proto::TransferSession s(env, dataset, std::move(plan), config);
-    s.set_fault_plan(faults);
-    if (checkpoints) s.set_checkpoint_sink(checkpoints);
-    return s.run(controller);
-  };
-  switch (algorithm) {
-    case Algorithm::kGuc:
-      out.result = execute(baselines::plan_guc(env, dataset));
-      out.chosen_concurrency = 1;
-      break;
-    case Algorithm::kGo:
-      out.result = execute(baselines::plan_go(env, dataset));
-      out.chosen_concurrency = 2;
-      break;
-    case Algorithm::kSc:
-      out.result = execute(baselines::plan_single_chunk(env, dataset, max_channels));
-      break;
-    case Algorithm::kMinE:
-      out.result =
-          execute(core::plan_min_energy(env, dataset, max_channels, decision_log(config)));
-      break;
-    case Algorithm::kProMc:
-      out.result = execute(baselines::plan_promc(env, dataset, max_channels));
-      break;
-    case Algorithm::kHtee: {
-      core::HteeController controller(max_channels);
-      out.result = execute(core::plan_htee(env, dataset, max_channels, decision_log(config)),
-                           &controller);
-      out.chosen_concurrency = controller.chosen_level();
-      break;
-    }
-    case Algorithm::kBf:
-      out.result = execute(baselines::plan_brute_force(env, dataset, max_channels));
-      break;
-  }
-  return out;
+  return execute_algorithm(
+      algorithm, testbed.env, dataset, max_channels,
+      plan_algorithm(algorithm, testbed.env, dataset, max_channels, config), config,
+      std::move(faults), checkpoints);
 }
 
 double SlaOutcome::deviation_percent() const {

@@ -36,9 +36,34 @@ struct RunOutcome {
 /// TransferSession::set_checkpoint_sink). Empty = no journal.
 using CheckpointSink = std::function<void(const proto::TransferCheckpoint&)>;
 
-/// Run `algorithm` at user concurrency `max_channels`.
-/// GUC and GO ignore `max_channels` (untunable), as in the paper.
-/// `faults` injects a failure workload; the default plan is inert.
+/// What an algorithm decides before any data moves: its plan and the
+/// concurrency RunOutcome reports. HTEE's level is its runtime controller's
+/// pick, so execute_algorithm overwrites it.
+struct PlannedRun {
+  proto::TransferPlan plan;
+  int chosen_concurrency = 0;
+};
+
+/// The planning step of run_algorithm: `algorithm`'s plan for `env` and
+/// `dataset` at user concurrency `max_channels`. MinE and HTEE log their
+/// decisions to `config`'s observability sinks, when set.
+[[nodiscard]] PlannedRun plan_algorithm(Algorithm algorithm, const proto::Environment& env,
+                                        const proto::Dataset& dataset, int max_channels,
+                                        const proto::SessionConfig& config = {});
+
+/// The executing step of run_algorithm: one session over `planned`, with
+/// HTEE's search controller attached when `algorithm` is HTEE.
+[[nodiscard]] RunOutcome execute_algorithm(Algorithm algorithm,
+                                           const proto::Environment& env,
+                                           const proto::Dataset& dataset, int max_channels,
+                                           PlannedRun planned,
+                                           const proto::SessionConfig& config = {},
+                                           proto::FaultPlan faults = {},
+                                           const CheckpointSink& checkpoints = {});
+
+/// Run `algorithm` at user concurrency `max_channels`: plan_algorithm, then
+/// execute_algorithm. GUC and GO ignore `max_channels` (untunable), as in
+/// the paper. `faults` injects a failure workload; the default plan is inert.
 [[nodiscard]] RunOutcome run_algorithm(Algorithm algorithm,
                                        const testbeds::Testbed& testbed,
                                        const proto::Dataset& dataset, int max_channels,

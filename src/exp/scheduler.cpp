@@ -168,9 +168,6 @@ namespace {
 /// cutoff: the output is byte-identical either way.
 constexpr std::size_t kMinParallelTenants = 16;
 
-/// One tick phase over [0, count): sharded across the pool when one is
-/// engaged, inline in index order otherwise. The lambda is passed by address
-/// as the pool's context — no std::function, no allocation on the tick path.
 /// Wall-clock lap timer for the tick pipeline's phases. Inert (never reads
 /// the clock) without a profiler, so the deterministic path costs nothing.
 struct PhaseTimer {
@@ -187,6 +184,9 @@ struct PhaseTimer {
   std::chrono::steady_clock::time_point last;
 };
 
+/// One tick phase over [0, count): sharded across the pool when one is
+/// engaged, inline in index order otherwise. The lambda is passed by address
+/// as the pool's context — no std::function, no allocation on the tick path.
 template <typename Fn>
 void run_phase(TickPool* pool, std::size_t count, Fn&& fn) {
   if (pool == nullptr) {

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <iomanip>
 #include <mutex>
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <unordered_map>
 
 #include "exp/tick_pool.hpp"
 #include "obs/obs.hpp"
@@ -81,22 +85,156 @@ void SweepRunner::parallel_indexed(int jobs, std::size_t count,
 
 namespace {
 
-SweepTaskResult execute_task(const SweepTask& task, std::size_t index) {
+/// A task's session inputs as the session sees them: when `seed` != 0 the
+/// derived seed re-keys every stochastic element, so two grid points never
+/// share a jitter or fault stream.
+struct TaskInputs {
+  std::uint64_t derived_seed = 0;
+  testbeds::Testbed testbed;
+  proto::FaultPlan faults;
+};
+
+TaskInputs effective_inputs(const SweepTask& task) {
+  TaskInputs in{derive_task_seed(task_algorithm_name(task), task.testbed.env.name,
+                                 task.concurrency, task.seed),
+                task.testbed, task.faults};
+  if (task.seed != 0) {
+    in.testbed.env.jitter_seed = in.derived_seed;
+    if (in.faults.active()) in.faults.seed = mix64(in.derived_seed);
+  }
+  return in;
+}
+
+/// Whether a task's result is a pure function of its session inputs, so an
+/// identical task may copy it: no runtime controller (SLAEE, HTEE), and no
+/// observability or checkpoint sink that expects a session of its own.
+bool shareable(const SweepTask& task) {
+  return task.kind == SweepTask::Kind::kRun && task.algorithm != Algorithm::kHtee &&
+         task.obs == nullptr && task.config.obs == nullptr && !task.checkpoints;
+}
+
+/// Everything a controller-free session reads — environment, dataset, plan,
+/// config and fault plan — as 64-bit words. Doubles go in by bit pattern, so
+/// +0.0 and -0.0 (or two NaN payloads) never compare equal; strings and
+/// vectors are length-prefixed, so equal keys mean equal inputs.
+class SessionKey {
+ public:
+  SessionKey(const proto::Environment& env, const proto::Dataset& dataset,
+             const proto::TransferPlan& plan, const proto::SessionConfig& config,
+             const proto::FaultPlan& faults) {
+    put(env.name);
+    for (const proto::Endpoint* side : {&env.source, &env.destination}) {
+      put(side->site, side->servers.size());
+      for (const host::ServerSpec& s : side->servers) {
+        put(s.name, s.cores, s.cpu_tdp, s.nic_speed, s.mem_total, s.disk.kind,
+            s.disk.max_bandwidth, s.disk.ramp, s.disk.thrash_alpha, s.per_core_goodput,
+            s.per_stream_disk, s.proc_base_util, s.util_per_gbps, s.util_contention,
+            s.cs_alpha, s.cs_util_per_thread, s.mem_base_util, s.mem_util_per_gbps);
+      }
+      const power::PowerCoefficients& p = side->power;
+      put(p.cpu_scale, p.mem, p.disk, p.nic, p.active_base);
+    }
+    const net::PathSpec& path = env.path;
+    put(path.bandwidth, path.rtt, path.tcp_buffer, path.mtu, path.background_traffic,
+        env.congestion.loss_beta, env.congestion.stream_knee, env.congestion.stream_beta,
+        env.route.size());
+    for (const net::NetworkDevice& d : env.route.devices()) put(d.kind, d.name);
+    put(env.warm_fraction, env.per_file_cost, env.rate_jitter_sd, env.jitter_seed);
+
+    put(dataset.files.size());
+    for (const proto::FileInfo& f : dataset.files) put(f.size);
+
+    put(plan.chunks.size());
+    for (const proto::Chunk& c : plan.chunks) {
+      put(c.cls, c.total, c.file_ids.size());
+      for (const std::uint32_t id : c.file_ids) put(id);
+    }
+    put(plan.params.size());
+    for (const proto::ChunkParams& p : plan.params) {
+      put(p.pipelining, p.parallelism, p.channels);
+    }
+    put(plan.placement, plan.steal, plan.sequential_chunks, plan.service_overhead_per_file,
+        plan.checksum_rate);
+
+    put(config.tick, config.sample_interval, config.max_sim_time,
+        config.checkpoint_interval, config.path_id);
+
+    put(faults.channel_drops.size());
+    for (const proto::ChannelDropEvent& e : faults.channel_drops) put(e.time, e.channel);
+    put(faults.outages.size());
+    for (const proto::ServerOutageEvent& e : faults.outages) {
+      put(e.source_side, e.server, e.start, e.duration);
+    }
+    put(faults.brownouts.size());
+    for (const proto::PathBrownoutEvent& e : faults.brownouts) {
+      put(e.start, e.duration, e.capacity_factor, e.path);
+    }
+    const proto::RetryPolicy& r = faults.retry;
+    put(faults.stochastic.channel_drop_rate, faults.stochastic.checksum_failure_prob,
+        r.restart_markers, r.backoff_initial, r.backoff_multiplier, r.backoff_max,
+        r.backoff_jitter, r.channel_retry_budget, faults.seed);
+  }
+
+  [[nodiscard]] bool operator==(const SessionKey&) const = default;
+
+  /// Finds candidates only; sharing still needs operator==.
+  [[nodiscard]] std::uint64_t digest() const noexcept {
+    std::uint64_t h = words_.size();
+    for (const std::uint64_t w : words_) h = mix64(h ^ w);
+    return h;
+  }
+
+ private:
+  template <typename... Fields>
+  void put(const Fields&... fields) {
+    (put_one(fields), ...);
+  }
+  void put_one(double v) { words_.push_back(std::bit_cast<std::uint64_t>(v)); }
+  template <typename T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+  void put_one(T v) {
+    words_.push_back(static_cast<std::uint64_t>(v));
+  }
+  void put_one(std::string_view text) {
+    put_one(text.size());
+    for (std::size_t at = 0; at < text.size(); at += 8) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, text.data() + at, std::min<std::size_t>(8, text.size() - at));
+      words_.push_back(w);
+    }
+  }
+
+  std::vector<std::uint64_t> words_;
+};
+
+// The key must name every field the session reads. These sizes (LP64
+// libstdc++) change when a field is added to an input struct: extend the key,
+// then the size here.
+#if defined(__x86_64__) && defined(__GLIBCXX__) && !defined(_GLIBCXX_DEBUG)
+static_assert(sizeof(proto::Environment) == 344 && sizeof(host::ServerSpec) == 168 &&
+                  sizeof(net::NetworkDevice) == 40 && sizeof(proto::FileInfo) == 8 &&
+                  sizeof(proto::TransferPlan) == 80 && sizeof(proto::Chunk) == 40 &&
+                  sizeof(proto::ChunkParams) == 12 && sizeof(proto::SessionConfig) == 48 &&
+                  sizeof(proto::FaultPlan) == 144 && sizeof(proto::ChannelDropEvent) == 16 &&
+                  sizeof(proto::ServerOutageEvent) == 32 &&
+                  sizeof(proto::PathBrownoutEvent) == 32,
+              "a session input gained a field: add it to SessionKey");
+#endif
+
+using GroupLeaders = std::vector<std::pair<SessionKey, std::size_t>>;
+
+/// Runs task `index` with its own session, unless its session inputs equal
+/// those of an earlier task of its group (`leaders`, grown here): then the
+/// result only names that task in `shared_from`, and run() copies the
+/// session's outcome. A group of one passes no `leaders` and skips the key.
+SweepTaskResult execute_task(const SweepTask& task, std::size_t index,
+                             GroupLeaders* leaders) {
+  TaskInputs in = effective_inputs(task);
   SweepTaskResult out;
   out.index = index;
   out.kind = task.kind;
   out.testbed = task.testbed.env.name;
-  out.derived_seed = derive_task_seed(task_algorithm_name(task), task.testbed.env.name,
-                                      task.concurrency, task.seed);
-
-  // The task's private copies: the derived seed re-keys every stochastic
-  // element, so two grid points never share a jitter or fault stream.
-  testbeds::Testbed testbed = task.testbed;
-  proto::FaultPlan faults = task.faults;
-  if (task.seed != 0) {
-    testbed.env.jitter_seed = out.derived_seed;
-    if (faults.active()) faults.seed = mix64(out.derived_seed);
-  }
+  out.derived_seed = in.derived_seed;
 
   proto::SessionConfig config = task.config;
   if (task.obs != nullptr) {
@@ -121,12 +259,29 @@ SweepTaskResult execute_task(const SweepTask& task, std::size_t index) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
+  const proto::Environment& env = in.testbed.env;
   if (task.kind == SweepTask::Kind::kRun) {
-    out.run = run_algorithm(task.algorithm, testbed, task.dataset, task.concurrency,
-                            config, std::move(faults), task.checkpoints);
+    PlannedRun planned =
+        plan_algorithm(task.algorithm, env, task.dataset, task.concurrency, config);
+    if (leaders != nullptr) {
+      SessionKey key(env, task.dataset, planned.plan, config, in.faults);
+      const auto leader = std::find_if(leaders->begin(), leaders->end(),
+                                       [&](const auto& l) { return l.first == key; });
+      if (leader != leaders->end()) {
+        out.run.algorithm = task.algorithm;
+        out.run.concurrency = task.concurrency;
+        out.run.chosen_concurrency = planned.chosen_concurrency;
+        out.shared_from = leader->second;
+        return out;
+      }
+      leaders->emplace_back(std::move(key), index);
+    }
+    out.run = execute_algorithm(task.algorithm, env, task.dataset, task.concurrency,
+                                std::move(planned), config, std::move(in.faults),
+                                task.checkpoints);
   } else {
-    out.sla = run_slaee(testbed, task.dataset, task.target_percent, task.max_throughput,
-                        task.concurrency, config, std::move(faults),
+    out.sla = run_slaee(in.testbed, task.dataset, task.target_percent, task.max_throughput,
+                        task.concurrency, config, std::move(in.faults),
                         task.checkpoints);
   }
   out.wall_ms = std::chrono::duration<double, std::milli>(
@@ -138,9 +293,54 @@ SweepTaskResult execute_task(const SweepTask& task, std::size_t index) {
 }  // namespace
 
 std::vector<SweepTaskResult> SweepRunner::run(const std::vector<SweepTask>& tasks) const {
-  std::vector<SweepTaskResult> results(tasks.size());
-  parallel_indexed(jobs_, tasks.size(),
-                   [&](std::size_t i) { results[i] = execute_task(tasks[i], i); });
+  const std::size_t n = tasks.size();
+
+  // Phase 1: plan every shareable task and digest its session inputs. Only
+  // the digest is kept; a plan is rebuilt when its task runs.
+  std::vector<std::uint64_t> digests(n, 0);
+  parallel_indexed(jobs_, n, [&](std::size_t i) {
+    const SweepTask& task = tasks[i];
+    if (!shareable(task)) return;
+    const TaskInputs in = effective_inputs(task);
+    const PlannedRun planned = plan_algorithm(task.algorithm, in.testbed.env, task.dataset,
+                                              task.concurrency, task.config);
+    digests[i] =
+        SessionKey(in.testbed.env, task.dataset, planned.plan, task.config, in.faults)
+            .digest();
+  });
+
+  // Phase 2: group shareable tasks by digest, in index order, so each
+  // group's first member is the lowest index of every input class in it.
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<std::uint64_t, std::size_t> group_of;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shareable(tasks[i])) {
+      const auto [it, fresh] = group_of.try_emplace(digests[i], groups.size());
+      if (!fresh) {
+        groups[it->second].push_back(i);
+        continue;
+      }
+    }
+    groups.push_back({i});
+  }
+
+  // Phase 3: one worker per group runs a session for each distinct input
+  // class (its lowest index leads) and marks the rest as copies.
+  std::vector<SweepTaskResult> results(n);
+  parallel_indexed(jobs_, groups.size(), [&](std::size_t g) {
+    GroupLeaders leaders;
+    for (const std::size_t i : groups[g]) {
+      results[i] = execute_task(tasks[i], i, groups[g].size() > 1 ? &leaders : nullptr);
+    }
+  });
+
+  // Phase 4: copies take their leader's session result and wall time.
+  for (SweepTaskResult& r : results) {
+    if (!r.shared_from) continue;
+    const SweepTaskResult& leader = results[*r.shared_from];
+    r.run.result = leader.run.result;
+    r.wall_ms = leader.wall_ms;
+  }
   return results;
 }
 

@@ -13,6 +13,11 @@
 //     identity, scheduling order or the wall clock;
 //   * results are collected by task index, never by completion order.
 //
+// A grid repeats itself (BF is ProMC's plan, GUC and GO ignore the level, a
+// saturated MinE plans the same at every level), so run() executes each
+// distinct session once: a task whose session inputs are bit-identical to a
+// lower-indexed task's copies that task's result (docs/MODEL.md §9).
+//
 // The contract pinned by tests/test_sweep_runner.cpp: `--jobs N` output is
 // byte-identical to `--jobs 1` for every N.
 #pragma once
@@ -20,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -98,7 +104,13 @@ struct SweepTaskResult {
   std::uint64_t derived_seed = 0;
   RunOutcome run{};         ///< valid when kind == kRun
   SlaOutcome sla{};         ///< valid when kind == kSla
-  double wall_ms = 0.0;     ///< wall-clock execution time (not deterministic)
+  /// Wall-clock time of the task's plan and session (not deterministic); a
+  /// task that copied another's session reports that session's time.
+  double wall_ms = 0.0;
+  /// Index, in the same run() call, of the earlier task whose bit-identical
+  /// session this task copied instead of running its own; nullopt when it
+  /// ran its own. Not part of sweep_payload or the JSON record.
+  std::optional<std::size_t> shared_from;
 
   [[nodiscard]] const proto::RunResult& result() const noexcept {
     return kind == SweepTask::Kind::kRun ? run.result : sla.result;
@@ -120,7 +132,9 @@ class SweepRunner {
 
   /// Execute the grid. Results are indexed 1:1 with `tasks`; with jobs() == 1
   /// execution is inline on the calling thread (no pool), and any worker
-  /// exception is rethrown here after the pool drains.
+  /// exception is rethrown here after the pool drains. Tasks without a
+  /// controller (SLA, HTEE), observability or checkpoint sink whose session
+  /// inputs equal an earlier task's copy its result (see `shared_from`).
   [[nodiscard]] std::vector<SweepTaskResult> run(const std::vector<SweepTask>& tasks) const;
 
   /// The deterministic fan-out primitive run() is built on, for sweeps whose

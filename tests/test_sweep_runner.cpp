@@ -1,16 +1,25 @@
 // The parallel sweep executor's contract: output is bit-identical whatever
 // the worker count, repeated sweeps in one process agree byte-for-byte (no
 // hidden static state), the fan-out primitive visits every index exactly
-// once, and a big faulted sweep with checkpoint sinks is race-free (the TSan
-// CI job runs this file under -fsanitize=thread).
+// once, a big faulted sweep with checkpoint sinks is race-free (the TSan
+// CI job runs this file under -fsanitize=thread), and a task whose session
+// inputs are bit-identical to an earlier task's copies that session's result
+// exactly as if it had run its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "exp/sweep.hpp"
+#include "obs/obs.hpp"
 
 namespace eadt::exp {
 namespace {
@@ -241,6 +250,232 @@ TEST(SweepRunner, DerivedSeedReKeysStochasticStreams) {
   EXPECT_DOUBLE_EQ(r[0].result().duration, r[2].result().duration);
   // Different base seed, same point: different jitter history.
   EXPECT_NE(r[0].result().duration, r[3].result().duration);
+}
+
+// --- session sharing ---------------------------------------------------------
+
+std::string hexf(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// Every field of a RunResult, doubles by bit pattern.
+std::string full_dump(const proto::RunResult& r) {
+  std::ostringstream os;
+  os << r.completed << ' ' << hexf(r.duration) << ' ' << r.bytes << ' '
+     << hexf(r.end_system_energy) << ' ' << hexf(r.network_energy) << ' '
+     << r.final_concurrency << ' ' << r.error << ' ' << r.checkpoint.has_value() << '\n';
+  const auto& f = r.faults;
+  os << f.retries << ' ' << f.channel_drops << ' ' << f.checksum_failures << ' '
+     << f.server_outages << ' ' << f.quarantined_channels << ' ' << f.wasted_bytes << ' '
+     << hexf(f.wasted_joules) << ' ' << hexf(f.channel_downtime) << ' '
+     << hexf(f.server_downtime) << '\n';
+  const auto& c = r.sim_counters;
+  os << c.scheduled << ' ' << c.fired << ' ' << c.cancelled << ' ' << c.ticks << ' '
+     << c.peak_queue << '\n';
+  for (const auto& w : r.samples) {
+    os << hexf(w.window_start) << ' ' << hexf(w.window_end) << ' ' << w.bytes << ' '
+       << hexf(w.end_system_energy) << ' ' << w.active_channels << ' ' << w.wasted_bytes
+       << ' ' << w.down_channels << '\n';
+  }
+  for (const auto* side : {&r.source_servers, &r.destination_servers}) {
+    for (const auto& e : *side) {
+      os << e.name << ' ' << hexf(e.joules) << ' ' << hexf(e.active_time) << '\n';
+    }
+  }
+  return os.str();
+}
+
+SweepTask run_task(const testbeds::Testbed& t, const proto::Dataset& dataset, Algorithm a,
+                   int cc) {
+  SweepTask task;
+  task.testbed = t;
+  task.dataset = dataset;
+  task.algorithm = a;
+  task.concurrency = cc;
+  task.config.sample_interval = 1.0;
+  return task;
+}
+
+/// A grid that overlaps with itself: BF repeats ProMC at every level, GUC
+/// and GO ignore the level, and MinE's plan saturates on the tiny testbeds.
+std::vector<SweepTask> overlapping_grid() {
+  std::vector<SweepTask> tasks;
+  for (const auto& t : {tiny(testbeds::futuregrid()), tiny(testbeds::didclab())}) {
+    const auto dataset = t.make_dataset();
+    for (const int cc : {1, 2, 4, 8, 12}) {
+      for (const auto a : {Algorithm::kGuc, Algorithm::kGo, Algorithm::kSc,
+                           Algorithm::kMinE, Algorithm::kProMc, Algorithm::kBf}) {
+        tasks.push_back(run_task(t, dataset, a, cc));
+      }
+    }
+  }
+  return tasks;
+}
+
+/// What each task yields when run on its own through run_algorithm.
+std::vector<SweepTaskResult> direct_results(const std::vector<SweepTask>& tasks) {
+  std::vector<SweepTaskResult> out(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const SweepTask& task = tasks[i];
+    out[i].index = i;
+    out[i].testbed = task.testbed.env.name;
+    out[i].derived_seed = derive_task_seed(to_string(task.algorithm), task.testbed.env.name,
+                                           task.concurrency, task.seed);
+    out[i].run = run_algorithm(task.algorithm, task.testbed, task.dataset,
+                               task.concurrency, task.config, task.faults);
+  }
+  return out;
+}
+
+std::vector<std::optional<std::size_t>> shared_from(const std::vector<SweepTaskResult>& r) {
+  std::vector<std::optional<std::size_t>> out;
+  for (const auto& t : r) out.push_back(t.shared_from);
+  return out;
+}
+
+TEST(SweepRunner, SharedSessionsMatchRunningEveryTaskDirectly) {
+  const auto tasks = overlapping_grid();
+  const auto direct = direct_results(tasks);
+  const std::string want = sweep_payload(direct);
+
+  const auto seq = SweepRunner(1).run(tasks);
+  for (const int jobs : {1, 4}) {
+    const auto got = jobs == 1 ? seq : SweepRunner(jobs).run(tasks);
+    ASSERT_EQ(got.size(), tasks.size());
+    EXPECT_EQ(sweep_payload(got), want) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(full_dump(got[i].result()), full_dump(direct[i].run.result))
+          << "jobs=" << jobs << " task " << i;
+    }
+  }
+
+  std::size_t copies = 0;
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    const auto& from = seq[i].shared_from;
+    if (!from) continue;
+    ++copies;
+    // A copy names an earlier task that ran its own session, and reports
+    // that session's wall time rather than a free 0 ms.
+    ASSERT_LT(*from, i);
+    EXPECT_FALSE(seq[*from].shared_from.has_value());
+    EXPECT_EQ(seq[i].wall_ms, seq[*from].wall_ms);
+    EXPECT_GT(seq[i].wall_ms, 0.0);
+    EXPECT_EQ(seq[i].run.algorithm, tasks[i].algorithm);
+    EXPECT_EQ(seq[i].run.concurrency, tasks[i].concurrency);
+  }
+  // BF is ProMC's plan, so every BF task copies the ProMC task just before it.
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].algorithm == Algorithm::kBf) {
+      ASSERT_EQ(tasks[i - 1].algorithm, Algorithm::kProMc);
+      EXPECT_EQ(seq[i].shared_from, i - 1) << "task " << i;
+    }
+  }
+  // GUC and GO ignore the level and MinE saturates: far more than BF shares.
+  EXPECT_GT(copies, tasks.size() / 3);
+}
+
+TEST(SweepRunner, SharingIsTheSameAtAnyJobCount) {
+  const auto tasks = overlapping_grid();
+  const auto want = shared_from(SweepRunner(1).run(tasks));
+  for (const int jobs : {2, 3, 8}) {
+    EXPECT_EQ(shared_from(SweepRunner(jobs).run(tasks)), want) << "jobs=" << jobs;
+  }
+}
+
+TEST(SweepRunner, NeverSharesAcrossASingleInputDifference) {
+  const auto t = tiny(testbeds::xsede());
+  const auto dataset = t.make_dataset();
+  const auto base = run_task(t, dataset, Algorithm::kProMc, 4);
+  proto::FaultPlan faults;
+  faults.stochastic.checksum_failure_prob = 0.01;
+
+  struct Case {
+    const char* name;
+    std::function<void(SweepTask&)> both;     ///< applied to every task
+    std::function<void(SweepTask&)> variant;  ///< applied to the middle one
+  };
+  const auto none = [](SweepTask&) {};
+  const std::vector<Case> cases = {
+      {"file size", none, [](SweepTask& k) { k.dataset.files[0].size += 1; }},
+      {"env double by one ulp", none,
+       [](SweepTask& k) {
+         auto& v = k.testbed.env.per_file_cost;
+         v = std::nextafter(v, std::numeric_limits<double>::infinity());
+       }},
+      {"+0.0 vs -0.0", [](SweepTask& k) { k.testbed.env.path.background_traffic = 0.0; },
+       [](SweepTask& k) { k.testbed.env.path.background_traffic = -0.0; }},
+      {"jitter seed", [](SweepTask& k) { k.testbed.env.rate_jitter_sd = 0.1; },
+       [](SweepTask& k) { k.testbed.env.jitter_seed += 1; }},
+      {"fault seed", [&](SweepTask& k) { k.faults = faults; },
+       [](SweepTask& k) { k.faults.seed += 1; }},
+      {"config tick", none, [](SweepTask& k) { k.config.tick = 0.05; }},
+  };
+  for (const Case& c : cases) {
+    std::vector<SweepTask> tasks(3, base);
+    for (auto& task : tasks) c.both(task);
+    c.variant(tasks[1]);
+    for (const int jobs : {1, 4}) {
+      const auto r = SweepRunner(jobs).run(tasks);
+      EXPECT_FALSE(r[1].shared_from.has_value()) << c.name << " jobs=" << jobs;
+      // The unchanged twin still shares, so the difference is what split them.
+      EXPECT_EQ(r[2].shared_from, 0u) << c.name << " jobs=" << jobs;
+      EXPECT_EQ(full_dump(r[1].result()), full_dump(direct_results({tasks[1]})[0].run.result))
+          << c.name << " jobs=" << jobs;
+    }
+  }
+}
+
+TEST(SweepRunner, NeverSharesTasksWithSinksOrControllers) {
+  const auto t = tiny(testbeds::xsede());
+  const auto dataset = t.make_dataset();
+  obs::ObsCollector collector;
+  std::atomic<int> checkpoints{0};
+
+  auto observed = run_task(t, dataset, Algorithm::kProMc, 4);
+  observed.obs = &collector;
+  auto journaled = run_task(t, dataset, Algorithm::kProMc, 8);
+  journaled.config.checkpoint_interval = 1.0;
+  journaled.checkpoints = [&](const proto::TransferCheckpoint&) { ++checkpoints; };
+  auto htee = run_task(t, dataset, Algorithm::kHtee, 4);
+  SweepTask sla = run_task(t, dataset, Algorithm::kSc, 12);
+  sla.kind = SweepTask::Kind::kSla;
+  sla.target_percent = 80.0;
+  sla.max_throughput = 5e9;
+
+  // Each twin pair sits next to each other; the obs twins take their own slots.
+  std::vector<SweepTask> tasks;
+  for (const SweepTask* task : {&observed, &journaled, &htee, &sla}) {
+    tasks.push_back(*task);
+    tasks.push_back(*task);
+  }
+  const auto r = SweepRunner(4).run(tasks);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    EXPECT_FALSE(r[i].shared_from.has_value()) << "task " << i;
+    EXPECT_TRUE(r[i].result().completed) << "task " << i;
+  }
+  // Both journaled twins ran their own session and emitted the same journal.
+  EXPECT_EQ(full_dump(r[2].result()), full_dump(r[3].result()));
+  EXPECT_GT(checkpoints.load(), 0);
+  EXPECT_EQ(checkpoints.load() % 2, 0);
+}
+
+TEST(SweepRunner, LeaderExceptionsPropagate) {
+  // A shareable session calls nothing outside the engine, so the throw comes
+  // from a journal sink on a twin of a ProMC task that BF copies; the sink
+  // makes the twin lead its own class, amid a grid that shares.
+  auto tasks = overlapping_grid();
+  SweepTask boom = tasks[4];
+  ASSERT_EQ(boom.algorithm, Algorithm::kProMc);
+  boom.config.checkpoint_interval = 1.0;
+  boom.checkpoints = [](const proto::TransferCheckpoint&) {
+    throw std::runtime_error("journal full");
+  };
+  tasks.insert(tasks.begin() + 7, boom);
+  for (const int jobs : {1, 4}) {
+    EXPECT_THROW((void)SweepRunner(jobs).run(tasks), std::runtime_error) << "jobs=" << jobs;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // sessions that walk through every layout mutation the engine has: server
 // outages that migrate channels, drops with backoff/revive/quarantine,
 // dry-chunk rebalances, SLAEE concurrency steps and its Large-chunk cap,
-// checkpoint resume, and a Scheduler schedule with preemption. Further pins
+// checkpoint resume, and Scheduler schedules (preemption; a plain run, two
+// sites and a one-option PathSet through the tick pipeline). Further pins
 // cover the per-server limits (NIC ceilings, single-disk pools on both sides)
 // and the edge ranges of the per-file overhead. A pure performance change to
 // the pipeline must leave every pin unchanged.
@@ -23,11 +24,15 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/algorithms.hpp"
 #include "exp/runner.hpp"
 #include "exp/scheduler.hpp"
 #include "host/server.hpp"
+#include "net/path_set.hpp"
+#include "obs/telemetry.hpp"
+#include "power/tariff.hpp"
 #include "proto/session.hpp"
 #include "sim/simulation.hpp"
 #include "test_env.hpp"
@@ -248,6 +253,118 @@ TEST(RatePipelinePinned, SchedulerChurnWithPreemption) {
   EXPECT_GE(report.preemptions, 1);
   EXPECT_TRUE(report.accounting_consistent());
   EXPECT_PINNED(exp::scheduler_report_payload(report), 0x9d0ce99baf73d80bULL);
+}
+
+// The Scheduler's tick pipeline in each of its placements: a plain run (one
+// site, the testbed's own environment), a PathSet of two sites with a
+// partition that forces a migration, and a PathSet of one option. Each pin
+// covers the report payload and, where a sampler is attached, its export.
+
+std::vector<exp::SchedulerJob> pin_jobs(const char* prefix, int count, int files,
+                                        Bytes file, exp::JobPolicy policy) {
+  std::vector<exp::SchedulerJob> jobs;
+  for (int i = 0; i < count; ++i) {
+    Dataset ds;
+    for (int f = 0; f < files; ++f) ds.files.push_back({file + f * kMB + i * 3 * kMB});
+    jobs.push_back({{std::string(prefix) + std::to_string(i), ds, policy, 0, 0, 4},
+                    0.25 * i});
+  }
+  return jobs;
+}
+
+std::size_t count_action(const exp::SchedulerReport& report, exp::RecoveryAction action) {
+  std::size_t n = 0;
+  for (const auto& out : report.jobs) n += out.recovery.count(action);
+  return n;
+}
+
+TEST(RatePipelinePinned, SchedulerPlainRunBrownoutCapWatchdogAndDeferral) {
+  const auto tb = tiny_xsede();
+  exp::SchedulerPolicy policy;
+  policy.max_concurrent = 3;
+  // Room for two sessions' provable peaks, not three.
+  policy.power_cap = exp::session_peak_power_bound(tb.env) * 2.5;
+  policy.supervision.attempt_deadline = 1.5;
+  policy.supervision.max_attempts = 12;
+  policy.max_defer = 60.0;
+  policy.link_brownouts.push_back({0.5, 1.5, 0.3});
+  exp::Scheduler scheduler(tb, gbps(7.0), policy, fast_cfg());
+  // Peak price all day but for 00:00-01:00; the schedule starts 20 s before
+  // midnight, so a scavenger is deferred into the cheap hour.
+  scheduler.set_tariff(power::Tariff::time_of_use(0.30, {{0.0, 1.0, 0.05}}),
+                       power::kSecondsPerDay - 20.0);
+  obs::TelemetryHub hub(0.5, 512, 1);
+  scheduler.set_telemetry(&hub);
+
+  auto jobs = pin_jobs("bulk", 3, 8, 120 * kMB, exp::JobPolicy::kBalanced);
+  auto green = pin_jobs("green", 1, 4, 40 * kMB, exp::JobPolicy::kGreen);
+  jobs.insert(jobs.end(), green.begin(), green.end());
+  const auto report = scheduler.run(std::move(jobs));
+
+  EXPECT_TRUE(report.accounting_consistent());
+  EXPECT_EQ(report.completed, 4);
+  EXPECT_EQ(report.deferrals, 1);
+  EXPECT_EQ(report.max_concurrent_observed, 2);
+  EXPECT_EQ(report.power_cap_violations, 0);
+  EXPECT_GE(count_action(report, exp::RecoveryAction::kDeadlineAbort), 1u);
+  EXPECT_GE(count_action(report, exp::RecoveryAction::kReduceChannels), 1u);
+  EXPECT_PINNED(exp::scheduler_report_payload(report) + hub.to_json(), 0xba9b774701efa2c7ULL);
+}
+
+TEST(RatePipelinePinned, SchedulerTwoSitesPartitionMigratesUnderSiteCaps) {
+  const auto tb = tiny_xsede();
+  exp::SchedulerPolicy policy;
+  policy.max_concurrent = 4;
+  policy.max_queue_depth = 8;
+  policy.paths.add({"primary", tb.env.path, tb.env.route, 0});
+  net::PathSpec detour = tb.env.path;
+  detour.rtt *= 1.5;
+  policy.paths.add({"backup", detour, net::futuregrid_route(), 1});
+  const Watts peak = exp::session_peak_power_bound(tb.env);
+  policy.path_power_caps = {peak * 2.5, peak * 1.5};
+  policy.supervision.attempt_deadline = 2.0;
+  policy.supervision.max_attempts = 12;
+  policy.supervision.degrade_after = 3;
+  // The primary is partitioned for the rest of the run; the backup browns
+  // out briefly on its own.
+  policy.link_brownouts.push_back({0.5, 1000.0, 0.0, /*path=*/0});
+  policy.link_brownouts.push_back({1.0, 0.5, 0.6, /*path=*/1});
+  exp::Scheduler scheduler(tb, gbps(7.0), policy, fast_cfg());
+  obs::TelemetryHub hub(0.5, 512, 2);
+  scheduler.set_telemetry(&hub);
+  const auto report =
+      scheduler.run(pin_jobs("part", 3, 6, 80 * kMB, exp::JobPolicy::kBalanced));
+
+  EXPECT_TRUE(report.accounting_consistent());
+  EXPECT_EQ(report.completed, 3);
+  EXPECT_GE(report.migrations, 1);
+  EXPECT_EQ(report.power_cap_violations, 0);
+  for (const auto& out : report.jobs) EXPECT_EQ(out.path, 1);
+  EXPECT_PINNED(exp::scheduler_report_payload(report) + hub.to_json(), 0x5d9fb8f47de5ac81ULL);
+}
+
+TEST(RatePipelinePinned, SchedulerOneOptionPathSet) {
+  const auto tb = tiny_xsede();
+  exp::SchedulerPolicy policy;
+  policy.max_concurrent = 2;
+  net::PathSpec only = tb.env.path;
+  only.rtt *= 1.2;
+  policy.paths.add({"only", only, net::futuregrid_route(), 0});
+  policy.link_brownouts.push_back({0.5, 1.0, 0.5, /*path=*/1});  // no such site
+  policy.link_brownouts.push_back({2.0, 1.0, 0.6});
+  exp::Scheduler scheduler(tb, gbps(7.0), policy, fast_cfg());
+  FaultPlan faults;
+  faults.brownouts.push_back({1.0, 1.0, 0.5, /*path=*/0});
+  faults.brownouts.push_back({2.5, 1.0, 0.2, /*path=*/1});  // filtered away
+  faults.brownouts.push_back({4.0, 1.0, 0.7});
+  scheduler.set_fault_plan(faults);
+  const auto report =
+      scheduler.run(pin_jobs("one", 3, 5, 90 * kMB, exp::JobPolicy::kBalanced));
+
+  EXPECT_TRUE(report.accounting_consistent());
+  EXPECT_EQ(report.completed, 3);
+  EXPECT_EQ(report.migrations, 0);
+  EXPECT_PINNED(exp::scheduler_report_payload(report), 0x2c192094eeb7970bULL);
 }
 
 // --- per-server limits and the per-file overhead's edge ranges --------------

@@ -167,7 +167,9 @@ TEST(Simulation, TickerCancelFromInsideItsOwnCallback) {
   EventId id{};
   int ticks = 0;
   id = sim.add_ticker(1.0, [&] {
-    if (++ticks == 2) EXPECT_TRUE(sim.cancel(id));
+    if (++ticks == 2) {
+      EXPECT_TRUE(sim.cancel(id));
+    }
     return true;  // the cancel must win over the "keep going" return value
   });
   sim.run_until(10.0);

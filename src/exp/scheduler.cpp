@@ -216,7 +216,7 @@ struct Scheduler::Tenant {
   Seconds attempt_started = 0.0;   ///< raw clock at the current leg's begin()
   Seconds attempt_deadline = 0.0;  ///< watchdog for the current leg (0 = none)
   int deadline_aborts = 0;  ///< watchdog aborts only; preemptions don't count
-  int path = 0;             ///< current PathSet placement (0 in single-path mode)
+  int path = 0;             ///< current site (sites_ index; 0 in a plain run)
   std::size_t tick_index = 0;  ///< position in running_ this tick (staging key)
   enum class State { kPending, kQueued, kDeferred, kRunning, kDone } state = State::kPending;
   TenantOutcome out;
@@ -300,15 +300,10 @@ void Scheduler::on_submit(Tenant& t) {
   for (const auto& other : tenants_) {
     waiting += other->state == Tenant::State::kDeferred ? 1 : 0;
   }
-  bool over_cap = policy_.power_cap > 0.0 && session_peak_ > policy_.power_cap;
-  if (multipath()) {
-    // Shed only when no site could ever host one session under its cap.
-    over_cap = true;
-    for (int p = 0; p < static_cast<int>(path_session_peak_.size()); ++p) {
-      const Watts cap = path_cap(p);
-      if (cap <= 0.0 || path_session_peak_[p] <= cap) over_cap = false;
-    }
-  }
+  // Shed only when no site could ever host one session under its cap.
+  const bool over_cap = std::none_of(sites_.begin(), sites_.end(), [](const Site& s) {
+    return s.cap <= 0.0 || s.session_peak <= s.cap;
+  });
   if (waiting >= policy_.max_queue_depth || over_cap) {
     t.out.rejected = true;
     t.out.finished_at = sim_.now();
@@ -357,36 +352,23 @@ void Scheduler::enqueue(Tenant& t) {
 
 bool Scheduler::can_dispatch(const Tenant&) const {
   if (static_cast<int>(running_.size()) >= policy_.max_concurrent) return false;
-  if (multipath()) return pick_path() >= 0;
-  if (policy_.power_cap > 0.0 &&
-      running_peak_sum_ + session_peak_ > policy_.power_cap + 1e-9) {
-    return false;
-  }
-  return true;
-}
-
-Watts Scheduler::path_cap(int p) const noexcept {
-  if (p >= 0 && p < static_cast<int>(policy_.path_power_caps.size()) &&
-      policy_.path_power_caps[p] > 0.0) {
-    return policy_.path_power_caps[p];
-  }
-  return policy_.power_cap;
+  return pick_path() >= 0;
 }
 
 int Scheduler::pick_path(bool allow_failed) const {
   int best = -1;
   double best_phi = 0.0;
-  for (int p = 0; p < static_cast<int>(path_envs_.size()); ++p) {
-    if (!allow_failed && health_->failed(p)) continue;
-    const Watts cap = path_cap(p);
-    if (cap > 0.0 && path_running_peak_[p] + path_session_peak_[p] > cap + 1e-9) {
+  for (int p = 0; p < static_cast<int>(sites_.size()); ++p) {
+    const Site& site = sites_[p];
+    if (multipath() && !allow_failed && health_->failed(p)) continue;
+    if (site.cap > 0.0 && site.running_peak + site.session_peak > site.cap + 1e-9) {
       continue;  // this site has no power headroom for one more session
     }
     if (policy_.power_cap > 0.0 &&
-        running_peak_sum_ + path_session_peak_[p] > policy_.power_cap + 1e-9) {
+        running_peak_sum_ + site.session_peak > policy_.power_cap + 1e-9) {
       continue;  // the cross-site sum is capped too
     }
-    const double phi = health_->phi(p);
+    const double phi = multipath() ? health_->phi(p) : 0.0;
     if (best == -1 || phi < best_phi) {  // strict <: lowest index wins ties
       best = p;
       best_phi = phi;
@@ -402,10 +384,14 @@ int Scheduler::pick_path() const {
   return p >= 0 ? p : pick_path(/*allow_failed=*/true);
 }
 
-void Scheduler::release_capacity(const Tenant& t) {
-  const Watts peak = multipath() ? path_session_peak_[t.path] : session_peak_;
-  running_peak_sum_ -= peak;
-  if (multipath()) path_running_peak_[t.path] -= peak;
+void Scheduler::end_leg(Tenant& t, bool completed, Seconds end_raw) {
+  t.out.result = t.session->finalize(completed, end_raw);
+  t.session.reset();
+  t.controller.reset();
+  running_.erase(std::find(running_.begin(), running_.end(), &t));
+  Site& site = sites_[t.path];
+  running_peak_sum_ -= site.session_peak;
+  site.running_peak -= site.session_peak;
 }
 
 TickPool* Scheduler::tick_pool() const noexcept {
@@ -461,28 +447,28 @@ void Scheduler::try_dispatch() {
 void Scheduler::dispatch(Tenant& t) {
   const TransferJob& job = t.spec.job;
   obs::DecisionLog* decisions = t.sinks != nullptr ? t.sinks->decisions : nullptr;
-  if (multipath()) {
-    // Placement IS migration: every dispatch (first leg, resume after an
-    // abort, re-dispatch after a preemption) lands on the healthiest path
-    // with power headroom. A journal taken on a different path than the one
-    // chosen makes this leg a failover, never a plain retry — which is what
-    // keeps `migrations <= attempts` an invariant rather than a hope.
-    const int chosen = pick_path();
-    if (chosen >= 0) {
-      if (t.journal && t.journal->path_id != chosen) {
-        ++t.out.migrations;
-        ++report_.migrations;
-        record(t, RecoveryAction::kMigrate, sim_.now(),
-               "resuming on " + policy_.paths.option(chosen).name + " (phi " +
-                   std::to_string(health_->phi(chosen)) + ") instead of " +
-                   policy_.paths.option(t.journal->path_id).name + " (phi " +
-                   std::to_string(health_->phi(t.journal->path_id)) + ")");
-      }
-      t.path = chosen;
+  // Placement IS migration: every dispatch (first leg, resume after an
+  // abort, re-dispatch after a preemption) lands on the healthiest site with
+  // power headroom. A journal taken on a different site than the one chosen
+  // makes this leg a failover, never a plain retry — which is what keeps
+  // `migrations <= attempts` an invariant rather than a hope. A plain run's
+  // journals all name site 0, so it never migrates.
+  const int chosen = pick_path();
+  if (chosen >= 0) {
+    if (t.journal && t.journal->path_id != chosen) {
+      ++t.out.migrations;
+      ++report_.migrations;
+      record(t, RecoveryAction::kMigrate, sim_.now(),
+             "resuming on " + policy_.paths.option(chosen).name + " (phi " +
+                 std::to_string(health_->phi(chosen)) + ") instead of " +
+                 policy_.paths.option(t.journal->path_id).name + " (phi " +
+                 std::to_string(health_->phi(t.journal->path_id)) + ")");
     }
-    t.out.path = t.path;
+    t.path = chosen;
   }
-  const proto::Environment& env = multipath() ? path_envs_[t.path] : testbed_.env;
+  t.out.path = t.path;
+  Site& site = sites_[t.path];
+  const proto::Environment& env = site.env;
   OperatingPoint op = make_operating_point(
       env, job.dataset, t.ladder.policy, t.ladder.channels,
       job.sla_percent, job.energy_budget, reference_rate_, decisions);
@@ -496,7 +482,7 @@ void Scheduler::dispatch(Tenant& t) {
   t.session = std::make_unique<proto::TransferSession>(
       sim_, env, job.dataset, std::move(op.plan), config);
   t.controller = std::move(op.controller);
-  t.session->set_fault_plan(multipath() ? faults_.for_path(t.path) : faults_);
+  t.session->set_fault_plan(site.faults);
   if (t.journal) {
     std::string err;
     if (!t.session->resume_from(*t.journal, &err)) {
@@ -514,9 +500,8 @@ void Scheduler::dispatch(Tenant& t) {
   if (t.out.attempts == 1) t.out.started_at = sim_.now();
   t.state = Tenant::State::kRunning;
   running_.push_back(&t);
-  const Watts peak = multipath() ? path_session_peak_[t.path] : session_peak_;
-  running_peak_sum_ += peak;
-  if (multipath()) path_running_peak_[t.path] += peak;
+  running_peak_sum_ += site.session_peak;
+  site.running_peak += site.session_peak;
   report_.peak_power_bound = std::max(report_.peak_power_bound, running_peak_sum_);
   report_.max_concurrent_observed =
       std::max(report_.max_concurrent_observed, static_cast<int>(running_.size()));
@@ -532,13 +517,8 @@ void Scheduler::dispatch(Tenant& t) {
 }
 
 void Scheduler::preempt(Tenant& t) {
-  proto::RunResult res = t.session->finalize(false, sim_.now());
-  t.out.result = std::move(res);
+  end_leg(t, false, sim_.now());
   t.journal = t.out.result.checkpoint;
-  t.session.reset();
-  t.controller.reset();
-  running_.erase(std::find(running_.begin(), running_.end(), &t));
-  release_capacity(t);
   ++t.out.preemptions;
   ++report_.preemptions;
   record(t, RecoveryAction::kPreempt, sim_.now(),
@@ -548,13 +528,8 @@ void Scheduler::preempt(Tenant& t) {
 }
 
 void Scheduler::abort_attempt(Tenant& t, Seconds end_raw) {
-  proto::RunResult res = t.session->finalize(false, end_raw);
-  t.out.result = std::move(res);
+  end_leg(t, false, end_raw);
   t.journal = t.out.result.checkpoint;
-  t.session.reset();
-  t.controller.reset();
-  running_.erase(std::find(running_.begin(), running_.end(), &t));
-  release_capacity(t);
   ++t.deadline_aborts;
   ++watchdog_aborts_;
   if (flightrec_ != nullptr) {
@@ -599,11 +574,7 @@ void Scheduler::complete(Tenant& t) {
     // push a finish past the watchdog deadline it was admitted under.
     end_raw = std::min(end_raw, t.attempt_started + t.attempt_deadline);
   }
-  t.out.result = t.session->finalize(true, end_raw);
-  t.session.reset();
-  t.controller.reset();
-  running_.erase(std::find(running_.begin(), running_.end(), &t));
-  release_capacity(t);
+  end_leg(t, true, end_raw);
   t.out.finished_at = sim_.now();
   ++report_.completed;
   if (t.spec.job.policy == JobPolicy::kSla) {
@@ -668,9 +639,7 @@ bool Scheduler::master_tick() {
     if (!overdue_.empty()) try_dispatch();
   }
 
-  if (!running_.empty() && multipath()) {
-    master_tick_multipath();
-  } else if (!running_.empty()) {
+  if (!running_.empty()) {
     const std::size_t n_run = running_.size();
     TickPool* pool = tick_pool();
     PhaseTimer timer(profiler_);
@@ -678,7 +647,7 @@ bool Scheduler::master_tick() {
     // Phase 1 (parallel-safe): per-session prepare + demand collection +
     // group collapse. Each tenant touches only its own session state and its
     // own single-writer obs slot, so sharding cannot reorder anything a
-    // tenant observes — the joint round below reads the results in
+    // tenant observes — the joint rounds below read the results in
     // admission order regardless of which worker produced them.
     run_phase(pool, n_run, [&](std::size_t i) {
       Tenant& t = *running_[i];
@@ -689,53 +658,71 @@ bool Scheduler::master_tick() {
     });
     timer.lap(obs::TickProfiler::kPrepare);
 
-    // The shared path: site-level brownouts scale it for everyone, and a
-    // per-session fault brownout is a property of the path too — the most
-    // degraded view wins. With one tenant and no site events this is exactly
-    // the session's own `bandwidth * path_factor`.
-    double min_path = running_.front()->session->path_factor();
-    for (const Tenant* t : running_) {
-      min_path = std::min(min_path, t->session->path_factor());
-    }
-    const BitsPerSecond capacity =
-        testbed_.env.path.available_bandwidth() * link_factor_ * min_path;
-
-    // Phase 2 (serial): ONE joint fair-share round over every tenant's
-    // demands, submitted in admission order — the order, not the worker
-    // schedule, is what the allocation depends on.
-    arbiter_.begin_round(capacity);
-    // Grouped submission: each tenant's demand list is run-length collapsed,
-    // which the arbiter expands back verbatim — the joint round is bitwise
-    // the same as per-flow submit(), and fleets of same-shape tenants let
-    // the waterfill path solve at group cost.
-    for (Tenant* t : running_) {
-      arbiter_.submit_groups(t->session->cached_link_demand_groups());
-    }
-    arbiter_.allocate();
-
-    double agg_demand = 0.0;
-    int agg_streams = 0;
-    for (const Tenant* t : running_) {
-      agg_demand += t->session->aggregate_demand();
-      agg_streams += t->session->aggregate_streams();
-    }
-    const double eff = net::congestion_efficiency(testbed_.env.congestion, agg_demand,
-                                                  capacity, agg_streams);
-    double total_avg = 0.0;
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-      for (const BitsPerSecond a : arbiter_.slice(i)) total_avg += a * eff;
-    }
-    const double burst_cap =
-        total_avg > 0.0 ? std::max(1.0, capacity / total_avg) : 1.0;
+    // Phase 2 (serial): ONE joint fair-share round per site over its
+    // tenants' demands, submitted in admission order — the order, not the
+    // worker schedule, is what the allocation depends on. The arbiter is
+    // reused round by round, so each round's slices are staged before the
+    // next begin_round invalidates them; that is also what lets the rate
+    // application run sharded afterwards.
     tick_alloc_.clear();
     tick_slices_.resize(n_run);
-    stage_allocations(running_, eff, burst_cap);
+    for (std::size_t p = 0; p < sites_.size(); ++p) {
+      Site& site = sites_[p];
+      // A one-site run places every tenant there: submit running_ itself.
+      const std::vector<Tenant*>* group = &running_;
+      if (sites_.size() > 1) {
+        site_group_.clear();
+        for (Tenant* t : running_) {
+          if (t->path == static_cast<int>(p)) site_group_.push_back(t);
+        }
+        group = &site_group_;
+      }
+      // -1 marks a site with no running tenants this tick: it carries no
+      // goodput signal (an idle path is not an unhealthy path).
+      site.capacity = -1.0;
+      if (group->empty()) continue;
+
+      // Site-level brownouts scale the link for everyone on it, and a
+      // per-session fault brownout is a property of the path too — the most
+      // degraded view wins. With one tenant and no site events this is
+      // exactly the session's own `bandwidth * path_factor`.
+      double min_path = group->front()->session->path_factor();
+      for (const Tenant* t : *group) min_path = std::min(min_path, t->session->path_factor());
+      const BitsPerSecond capacity =
+          site.env.path.available_bandwidth() * site.link_factor * min_path;
+      site.capacity = capacity;
+
+      arbiter_.begin_round(capacity);
+      // Grouped submission: each tenant's demand list is run-length
+      // collapsed, which the arbiter expands back verbatim — the joint round
+      // is bitwise the same as per-flow submit(), and fleets of same-shape
+      // tenants let the waterfill path solve at group cost.
+      for (Tenant* t : *group) arbiter_.submit_groups(t->session->cached_link_demand_groups());
+      arbiter_.allocate();
+
+      double agg_demand = 0.0;
+      int agg_streams = 0;
+      for (const Tenant* t : *group) {
+        agg_demand += t->session->aggregate_demand();
+        agg_streams += t->session->aggregate_streams();
+      }
+      const double eff = net::congestion_efficiency(site.env.congestion, agg_demand,
+                                                    capacity, agg_streams);
+      double total_avg = 0.0;
+      for (std::size_t i = 0; i < group->size(); ++i) {
+        for (const BitsPerSecond a : arbiter_.slice(i)) total_avg += a * eff;
+      }
+      const double burst_cap =
+          total_avg > 0.0 ? std::max(1.0, capacity / total_avg) : 1.0;
+      stage_allocations(*group, eff, burst_cap);
+    }
     timer.lap(obs::TickProfiler::kArbiter);
 
     // Phase 3a (parallel-safe): rate application and byte/energy compute.
     // Rates, channel movement and the energy ledgers are pure per-session
     // math over the staged slice (the per-session jitter RNG included), so
-    // tenants shard freely.
+    // tenants shard freely. Every running tenant sits on exactly one site,
+    // so every slot of tick_slices_ was staged above.
     run_phase(pool, n_run, [&](std::size_t i) {
       const StagedSlice& staged = tick_slices_[i];
       proto::TransferSession& s = *running_[i]->session;
@@ -749,26 +736,80 @@ bool Scheduler::master_tick() {
 
     // Phase 3b (serial commit, admission order): everything that touches the
     // shared simulation or cross-tenant books — checkpoint emission, obs,
-    // sampling/controller callbacks, the power sum (kept in admission order
-    // so the floating-point reduction is bitwise the sequential one), and
-    // completion collection.
+    // sampling/controller callbacks, the site-wide and per-site power sums
+    // (kept in admission order so the floating-point reduction is bitwise
+    // the sequential one), and completion collection.
     finished_.clear();
     Watts measured = 0.0;
+    for (Site& site : sites_) {
+      site.measured = 0.0;
+      site.bytes = 0.0;
+    }
     for (Tenant* t : running_) {
       const bool more = t->session->advance_commit();
-      measured += t->session->last_tick_power();
+      const Watts power = t->session->last_tick_power();
+      Site& site = sites_[t->path];
+      measured += power;
+      site.measured += power;
+      site.bytes += static_cast<double>(t->session->last_tick_bytes());
       if (!more) finished_.push_back(t);
     }
     report_.peak_power = std::max(report_.peak_power, measured);
     const bool cap_exceeded =
         policy_.power_cap > 0.0 && measured > policy_.power_cap * (1.0 + 1e-9);
     if (cap_exceeded) ++report_.power_cap_violations;
-    if (!running_.empty() && collector_ != nullptr) {
-      collector_->metrics().gauge("scheduler.peak_power_w").set_max(measured);
+    // Per-site caps count on their own only with a PathSet: a plain run's
+    // one site is capped by `power_cap`, already counted above.
+    const auto site_over = [](const Site& site) {
+      return site.cap > 0.0 && site.measured > site.cap * (1.0 + 1e-9);
+    };
+    if (multipath()) {
+      report_.power_cap_violations +=
+          static_cast<int>(std::count_if(sites_.begin(), sites_.end(), site_over));
     }
     flight_note(measured);
-    if (cap_exceeded && flightrec_ != nullptr) {
-      flightrec_->trigger("site power cap measured above bound", sim_.now());
+    if (flightrec_ != nullptr) {
+      if (cap_exceeded) {
+        flightrec_->trigger("site power cap measured above bound", sim_.now());
+      }
+      for (std::size_t p = 0; multipath() && p < sites_.size(); ++p) {
+        if (site_over(sites_[p])) {
+          flightrec_->trigger(
+              "per-site power cap measured above bound: " + policy_.paths.option(p).name,
+              sim_.now());
+        }
+      }
+    }
+    if (collector_ != nullptr) {
+      collector_->metrics().gauge("scheduler.peak_power_w").set_max(measured);
+    }
+    if (multipath()) {
+      for (std::size_t p = 0; p < sites_.size(); ++p) {
+        const Site& site = sites_[p];
+        if (site.capacity < 0.0) continue;  // no tenants placed here this tick
+        // Scored against the path's *nominal* bandwidth, not the browned-out
+        // arbitration capacity: a brownout must read as lost goodput,
+        // otherwise a path delivering 10% of itself would look perfectly
+        // healthy.
+        const double expected =
+            site.env.path.available_bandwidth() * base_config_.tick / 8.0;
+        const double frac = expected > 0.0 ? site.bytes / expected : 1.0;
+        health_->observe_goodput(static_cast<int>(p), sim_.now(), std::min(1.0, frac));
+      }
+      // Read phi only once every site is fed: phi() decays fault demerits to
+      // the monitor's latest observation time, which the feed above advances.
+      for (std::size_t p = 0; p < sites_.size(); ++p) {
+        const Site& site = sites_[p];
+        const double phi = health_->phi(static_cast<int>(p));
+        if (collector_ != nullptr) {
+          collector_->metrics()
+              .gauge("scheduler.path." + policy_.paths.option(p).name + ".phi")
+              .set_max(phi);
+        }
+        if (site.phi_track != nullptr) {
+          sched_sinks_->trace->counter(sim_.now(), site.phi_track, phi);
+        }
+      }
     }
     sample_telemetry(measured);
     for (Tenant* t : finished_) complete(*t);
@@ -781,156 +822,6 @@ bool Scheduler::master_tick() {
   // a week-long schedule never hits the buffer cap. Cheap when empty.
   if (stream_ != nullptr) stream_->flush();
   return unfinished_ > 0;
-}
-
-void Scheduler::master_tick_multipath() {
-  // The multipath tick: each path is its own link, so each gets its own
-  // joint fair-share round over the tenants placed there. Phases 1 and 3
-  // still run over `running_` in admission order — only the arbitration in
-  // phase 2 is grouped — so a PathSet with one option reproduces the
-  // single-path tick exactly.
-  const int n = static_cast<int>(path_envs_.size());
-  const std::size_t n_run = running_.size();
-  TickPool* pool = tick_pool();
-  PhaseTimer timer(profiler_);
-
-  // Phase 1 (parallel-safe): per-session prepare + demand collection +
-  // group collapse, exactly as in the single-path tick.
-  run_phase(pool, n_run, [&](std::size_t i) {
-    Tenant& t = *running_[i];
-    t.tick_index = i;
-    t.session->tick_prepare();
-    t.session->collect_link_demands();
-    (void)t.session->link_demand_groups();
-  });
-  timer.lap(obs::TickProfiler::kPrepare);
-
-  // Phase 2 (serial): one fair-share round per path. -1 marks paths with no
-  // running tenants this tick: they carry no goodput signal (an idle path is
-  // not an unhealthy path) and are skipped by the health feed below. The
-  // arbiter is reused round by round, so each round's slices are staged
-  // before the next begin_round invalidates them — which is also what lets
-  // the rate application run sharded after the loop.
-  path_capacity_.assign(n, -1.0);
-  tick_alloc_.clear();
-  tick_slices_.resize(n_run);
-  for (int p = 0; p < n; ++p) {
-    path_group_.clear();
-    for (Tenant* t : running_) {
-      if (t->path == p) path_group_.push_back(t);
-    }
-    if (path_group_.empty()) continue;
-    double min_path = path_group_.front()->session->path_factor();
-    for (const Tenant* t : path_group_) {
-      min_path = std::min(min_path, t->session->path_factor());
-    }
-    const BitsPerSecond capacity =
-        path_envs_[p].path.available_bandwidth() * path_link_factor_[p] * min_path;
-    path_capacity_[p] = capacity;
-
-    arbiter_.begin_round(capacity);
-    for (Tenant* t : path_group_) {
-      arbiter_.submit_groups(t->session->cached_link_demand_groups());
-    }
-    arbiter_.allocate();
-
-    double agg_demand = 0.0;
-    int agg_streams = 0;
-    for (const Tenant* t : path_group_) {
-      agg_demand += t->session->aggregate_demand();
-      agg_streams += t->session->aggregate_streams();
-    }
-    const double eff = net::congestion_efficiency(path_envs_[p].congestion,
-                                                  agg_demand, capacity, agg_streams);
-    double total_avg = 0.0;
-    for (std::size_t i = 0; i < path_group_.size(); ++i) {
-      for (const BitsPerSecond a : arbiter_.slice(i)) total_avg += a * eff;
-    }
-    const double burst_cap =
-        total_avg > 0.0 ? std::max(1.0, capacity / total_avg) : 1.0;
-    stage_allocations(path_group_, eff, burst_cap);
-  }
-  timer.lap(obs::TickProfiler::kArbiter);
-
-  // Phase 3a (parallel-safe): rate application + byte/energy compute from
-  // the staged slices. Every running tenant is placed on exactly one path,
-  // so every slot of tick_slices_ was staged above.
-  run_phase(pool, n_run, [&](std::size_t i) {
-    const StagedSlice& staged = tick_slices_[i];
-    proto::TransferSession& s = *running_[i]->session;
-    s.apply_link_allocation(
-        std::span<const BitsPerSecond>(tick_alloc_.data() + staged.offset,
-                                       staged.count),
-        staged.eff, staged.burst_cap);
-    s.advance_compute();
-  });
-  timer.lap(obs::TickProfiler::kApply);
-
-  // Phase 3b (serial commit, admission order): close the power books
-  // globally AND per site, and feed the health monitor each path's
-  // achieved-vs-offered goodput for the slice.
-  finished_.clear();
-  Watts measured = 0.0;
-  path_measured_.assign(n, 0.0);
-  path_bytes_.assign(n, 0.0);
-  for (Tenant* t : running_) {
-    const bool more = t->session->advance_commit();
-    measured += t->session->last_tick_power();
-    path_measured_[t->path] += t->session->last_tick_power();
-    path_bytes_[t->path] += static_cast<double>(t->session->last_tick_bytes());
-    if (!more) finished_.push_back(t);
-  }
-  report_.peak_power = std::max(report_.peak_power, measured);
-  const bool cap_exceeded =
-      policy_.power_cap > 0.0 && measured > policy_.power_cap * (1.0 + 1e-9);
-  if (cap_exceeded) ++report_.power_cap_violations;
-  for (int p = 0; p < n; ++p) {
-    const Watts cap = path_cap(p);
-    if (cap > 0.0 && path_measured_[p] > cap * (1.0 + 1e-9)) {
-      ++report_.power_cap_violations;
-    }
-  }
-  flight_note(measured);
-  if (flightrec_ != nullptr) {
-    if (cap_exceeded) {
-      flightrec_->trigger("site power cap measured above bound", sim_.now());
-    }
-    for (int p = 0; p < n; ++p) {
-      const Watts cap = path_cap(p);
-      if (cap > 0.0 && path_measured_[p] > cap * (1.0 + 1e-9)) {
-        flightrec_->trigger(
-            "per-site power cap measured above bound: " + policy_.paths.option(p).name,
-            sim_.now());
-      }
-    }
-  }
-  for (int p = 0; p < n; ++p) {
-    if (path_capacity_[p] < 0.0) continue;  // no tenants placed here this tick
-    // Scored against the path's *nominal* bandwidth, not the browned-out
-    // arbitration capacity: a brownout must read as lost goodput, otherwise
-    // a path delivering 10% of itself would look perfectly healthy.
-    const double expected =
-        path_envs_[p].path.available_bandwidth() * base_config_.tick / 8.0;
-    const double frac = expected > 0.0 ? path_bytes_[p] / expected : 1.0;
-    health_->observe_goodput(p, sim_.now(), std::min(1.0, frac));
-  }
-  if (collector_ != nullptr) {
-    collector_->metrics().gauge("scheduler.peak_power_w").set_max(measured);
-    for (int p = 0; p < n; ++p) {
-      collector_->metrics()
-          .gauge("scheduler.path." + policy_.paths.option(p).name + ".phi")
-          .set_max(health_->phi(p));
-    }
-  }
-  if (sched_sinks_ != nullptr && sched_sinks_->trace != nullptr &&
-      !path_phi_track_.empty()) {
-    for (int p = 0; p < n; ++p) {
-      sched_sinks_->trace->counter(sim_.now(), path_phi_track_[p], health_->phi(p));
-    }
-  }
-  sample_telemetry(measured);
-  for (Tenant* t : finished_) complete(*t);
-  timer.lap(obs::TickProfiler::kCommit);
 }
 
 void Scheduler::sample_telemetry(Watts measured) {
@@ -968,18 +859,11 @@ void Scheduler::sample_telemetry(Watts measured) {
   for (std::size_t c = 0; c < obs::kTelemetryClasses; ++c) {
     if (burn_n[c] > 0) s.class_burn[c] = burn_sum[c] / burn_n[c];
   }
-  const std::size_t sites = telemetry_->site_count();
-  if (multipath()) {
-    const std::size_t m = std::min(sites, path_measured_.size());
-    for (std::size_t p = 0; p < m; ++p) {
-      s.site_power_w[p] = path_measured_[p];
-      s.site_cap_w[p] = path_cap(static_cast<int>(p));
-      s.site_phi[p] = health_->phi(static_cast<int>(p));
-    }
-  } else if (sites >= 1) {
-    s.site_power_w[0] = measured;
-    s.site_cap_w[0] = policy_.power_cap;
-    s.site_phi[0] = 0.0;
+  const std::size_t sites = std::min(telemetry_->site_count(), sites_.size());
+  for (std::size_t p = 0; p < sites; ++p) {
+    s.site_power_w[p] = sites_[p].measured;
+    s.site_cap_w[p] = sites_[p].cap;
+    s.site_phi[p] = multipath() ? health_->phi(static_cast<int>(p)) : 0.0;
   }
   telemetry_->record(sim_.now());
 }
@@ -1022,23 +906,27 @@ void Scheduler::emit_sched_tracks() {
 
 SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
   report_ = {};
-  session_peak_ = session_peak_power_bound(testbed_.env);
   // The tick pool lives for the whole schedule: workers park between phases
   // (and between ticks), so a dispatch is a notify, not a thread spawn.
   if (policy_.jobs > 1) pool_ = std::make_unique<TickPool>(policy_.jobs);
+  // The sites are fixed from here on (sessions hold references into them).
+  // A PathSet option re-binds path and route, sees only the brownouts aimed
+  // at it, and is capped by its own entry of `path_power_caps` when set.
+  sites_.clear();
   if (multipath()) {
-    const int n = static_cast<int>(policy_.paths.size());
-    path_envs_.clear();
-    path_envs_.reserve(n);  // stable from here on: sessions hold references
-    path_session_peak_.clear();
-    for (const auto& option : policy_.paths.options()) {
-      path_envs_.push_back(environment_for_path(testbed_.env, option));
-      path_session_peak_.push_back(session_peak_power_bound(path_envs_.back()));
+    for (int p = 0; p < static_cast<int>(policy_.paths.size()); ++p) {
+      const Watts own = p < static_cast<int>(policy_.path_power_caps.size())
+                            ? policy_.path_power_caps[p]
+                            : 0.0;
+      sites_.push_back({environment_for_path(testbed_.env, policy_.paths.option(p)),
+                        faults_.for_path(p), own > 0.0 ? own : policy_.power_cap});
     }
-    path_running_peak_.assign(n, 0.0);
-    path_link_factor_.assign(n, 1.0);
-    health_ = std::make_unique<HealthMonitor>(n, policy_.health);
+    health_ = std::make_unique<HealthMonitor>(static_cast<int>(sites_.size()),
+                                              policy_.health);
+  } else {
+    sites_.push_back({testbed_.env, faults_, policy_.power_cap});
   }
+  for (Site& site : sites_) site.session_peak = session_peak_power_bound(site.env);
   tenants_.clear();
   tenants_.reserve(jobs.size());
   unfinished_ = static_cast<int>(jobs.size());
@@ -1061,19 +949,16 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
   if (collector_ != nullptr) {
     // Scheduler-level slot, placed after the per-tenant slots. Fleet-level
     // counter tracks (running/queued/shed) land here so a trace is readable
-    // without per-tenant drilldown; multipath runs add per-path phi tracks
+    // without per-tenant drilldown; PathSet runs add per-path phi tracks
     // showing the health the placement decisions actually saw.
     sched_sinks_ = collector_->slot(slot_base_ + tenants_.size(), "scheduler");
-    path_phi_track_.clear();
     if (sched_sinks_->trace != nullptr) {
       sched_running_track_ = sched_sinks_->trace->intern("sched.running");
       sched_queued_track_ = sched_sinks_->trace->intern("sched.queued");
       sched_shed_track_ = sched_sinks_->trace->intern("sched.shed");
-      if (multipath()) {
-        for (const auto& option : policy_.paths.options()) {
-          path_phi_track_.push_back(
-              sched_sinks_->trace->intern("path." + option.name + ".phi"));
-        }
+      for (std::size_t p = 0; multipath() && p < sites_.size(); ++p) {
+        sites_[p].phi_track = sched_sinks_->trace->intern(
+            "path." + policy_.paths.option(static_cast<int>(p)).name + ".phi");
       }
     }
   }
@@ -1083,30 +968,21 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
     sim_.schedule_at(tp->spec.submit_at, [this, tp] { on_submit(*tp); });
   }
   for (const auto& b : policy_.link_brownouts) {
-    if (!multipath()) {
-      sim_.schedule_at(b.start, [this, f = b.capacity_factor] {
-        link_factor_ = std::max(0.0, f);
-      });
-      sim_.schedule_at(b.start + b.duration, [this] { link_factor_ = 1.0; });
-      continue;
-    }
-    // Multipath: a brownout hits its target path only (path -1 hits every
-    // site). Onset is also a health demerit — the monitor should suspect a
-    // browning path before a tick's goodput shortfall confirms it.
-    sim_.schedule_at(b.start, [this, b] {
-      const double f = std::max(0.0, b.capacity_factor);
-      for (int p = 0; p < static_cast<int>(path_link_factor_.size()); ++p) {
-        if (b.path != -1 && b.path != p) continue;
-        path_link_factor_[p] = f;
-        health_->observe_fault(p, sim_.now());
+    // A brownout hits its target site only (path -1 hits every site); a
+    // plain run's one site is the link every brownout hits. With a PathSet,
+    // onset is also a health demerit — the monitor should suspect a browning
+    // path before a tick's goodput shortfall confirms it.
+    const auto set_factor = [this, target = b.path](double factor, bool onset) {
+      for (int p = 0; p < static_cast<int>(sites_.size()); ++p) {
+        if (multipath() && target != -1 && target != p) continue;
+        sites_[p].link_factor = factor;
+        if (multipath() && onset) health_->observe_fault(p, sim_.now());
       }
+    };
+    sim_.schedule_at(b.start, [set_factor, f = std::max(0.0, b.capacity_factor)] {
+      set_factor(f, true);
     });
-    sim_.schedule_at(b.start + b.duration, [this, b] {
-      for (int p = 0; p < static_cast<int>(path_link_factor_.size()); ++p) {
-        if (b.path != -1 && b.path != p) continue;
-        path_link_factor_[p] = 1.0;
-      }
-    });
+    sim_.schedule_at(b.start + b.duration, [set_factor] { set_factor(1.0, false); });
   }
   sim_.add_ticker(base_config_.tick, [this] { return master_tick(); });
   sim_.run_until(policy_.horizon + base_config_.tick);
@@ -1123,15 +999,10 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
   for (const auto& tp : tenants_) {
     Tenant& t = *tp;
     switch (t.state) {
-      case Tenant::State::kRunning: {
-        t.out.result = t.session->finalize(false, sim_.now());
-        t.session.reset();
-        t.controller.reset();
-        running_.erase(std::find(running_.begin(), running_.end(), &t));
-        release_capacity(t);
+      case Tenant::State::kRunning:
+        end_leg(t, false, sim_.now());
         fail(t, "still running at the scheduler horizon");
         break;
-      }
       case Tenant::State::kDeferred:
         --deferred_;
         [[fallthrough]];

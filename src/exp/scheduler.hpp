@@ -7,8 +7,9 @@
 //
 //   * several proto::TransferSessions co-exist on ONE sim::Simulation; every
 //     master tick the scheduler collects each session's link demands and runs
-//     a single joint net::fair_share round (net::LinkArbiter), so channels of
-//     different tenants contend exactly like channels of one session;
+//     one joint net::fair_share round (net::LinkArbiter) per site, so channels
+//     of different tenants contend exactly like channels of one session. A
+//     plain run is one site; a PathSet gives one site per option;
 //   * admission control: the waiting queue is bounded; jobs past the bound
 //     are shed (rejected) with honest accounting, never silently dropped;
 //   * a site-wide power cap: a job is dispatched only when the sum of the
@@ -102,12 +103,12 @@ struct SchedulerPolicy {
   Seconds horizon = 7.0 * 24 * 3600;
 
   // --- Path resilience (appended so positional initializers of the fields
-  // above keep compiling). An empty `paths` disables placement entirely: the
-  // scheduler is then bit-identical to its single-path self.
-  /// Alternate site routes (index 0 = primary). With paths, each tenant is
-  /// placed at dispatch on the healthiest path with power headroom, each path
-  /// runs its own joint fair-share round per master tick, and a tenant whose
-  /// journal was taken on a now-suspect path resumes on a better one
+  // above keep compiling). The tick pipeline runs over a list of sites; an
+  // empty `paths` makes it one site, the testbed's own environment.
+  /// Alternate site routes (index 0 = primary), one site each. Each tenant
+  /// is placed at dispatch on the healthiest site with power headroom, each
+  /// site runs its own joint fair-share round per master tick, and a tenant
+  /// whose journal was taken on a now-suspect path resumes on a better one
   /// (counted as a migration, not a retry).
   net::PathSet paths;
   /// Health scoring for placement and migration.
@@ -294,12 +295,12 @@ class Scheduler {
               std::string detail);
   [[nodiscard]] Seconds defer_delay(const Tenant& t) const;
   [[nodiscard]] bool multipath() const noexcept { return !policy_.paths.empty(); }
-  [[nodiscard]] Watts path_cap(int p) const noexcept;
-  /// Healthiest path with power headroom for one more session, or -1.
+  /// Healthiest site with power headroom for one more session, or -1.
   [[nodiscard]] int pick_path() const;
   [[nodiscard]] int pick_path(bool allow_failed) const;
-  void release_capacity(const Tenant& t);
-  void master_tick_multipath();
+  /// Finalize the current leg into `out.result`, drop its session, and give
+  /// back its running slot and its site's power budget.
+  void end_leg(Tenant& t, bool completed, Seconds end_raw);
   /// The pool when this tick should fan out, else null (serial). Parallel
   /// mode needs enough tenants to amortize the dispatch handshake, and every
   /// tenant on its own obs slot (slots are single-writer; without a collector
@@ -308,8 +309,8 @@ class Scheduler {
   /// Copy each running tenant's slice of the arbiter's current round into
   /// the staged scratch (tick_alloc_ / tick_slices_), tagged with the
   /// round's efficiency and burst factors. Staging is what lets the rate
-  /// application run after the arbiter's buffers are reused (multipath runs
-  /// one round per path) and off-thread (slices index caller-owned storage).
+  /// application run after the arbiter's buffers are reused (one round per
+  /// site) and off-thread (slices index caller-owned storage).
   void stage_allocations(const std::vector<Tenant*>& group, double eff,
                          double burst_cap);
   /// Serial-commit telemetry hooks. sample_telemetry() fills the hub's
@@ -341,13 +342,31 @@ class Scheduler {
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<Tenant*> queue_;    ///< waiting, in priority order
   std::vector<Tenant*> running_;  ///< dispatch order (preemption scans back)
-  Watts running_peak_sum_ = 0.0;  ///< sum of running sessions' peak bounds (all paths)
-  Watts session_peak_ = 0.0;      ///< per-session bound (one shared env)
-  double link_factor_ = 1.0;      ///< site-level brownout factor
+  Watts running_peak_sum_ = 0.0;  ///< sum of running sessions' peak bounds (all sites)
   int unfinished_ = 0;            ///< tenants not yet terminal
   int deferred_ = 0;              ///< tenants parked in a tariff deferral
   std::uint64_t watchdog_aborts_ = 0;  ///< cumulative, fed to the flight ring
   SchedulerReport report_;
+
+  /// One link of the tick pipeline, with its own joint fair-share round and
+  /// power books. A plain run is one site: the testbed's own environment and
+  /// fault plan, capped by `power_cap`. A PathSet gives one site per option.
+  struct Site {
+    proto::Environment env;   ///< stable once run() starts: sessions hold refs
+    proto::FaultPlan faults;  ///< the fault plan as sessions on this site see it
+    Watts cap = 0.0;          ///< this site's power cap (0 = uncapped)
+    Watts session_peak = 0.0;  ///< one session's provable peak draw here
+    Watts running_peak = 0.0;  ///< sum of the running sessions' peaks here
+    double link_factor = 1.0;  ///< site-level brownout factor
+    // This tick's books (scratch, rewritten every tick).
+    BitsPerSecond capacity = -1.0;  ///< offered capacity; -1 = no tenant here
+    Watts measured = 0.0;           ///< summed end-system draw
+    double bytes = 0.0;             ///< goodput bytes (the health feed)
+    const char* phi_track = nullptr;  ///< interned health track (PathSet runs)
+  };
+  std::vector<Site> sites_;
+  std::unique_ptr<HealthMonitor> health_;  ///< PathSet runs only
+  obs::ObsSinks* sched_sinks_ = nullptr;   ///< scheduler-level obs slot
 
   // --- per-tick scratch (hoisted so a steady-state master tick performs no
   // heap allocations; scratch only — never carries state across ticks) ------
@@ -361,22 +380,10 @@ class Scheduler {
   };
   std::vector<Tenant*> overdue_;        ///< watchdog sweep
   std::vector<Tenant*> finished_;       ///< tenants completing this tick
-  std::vector<Tenant*> path_group_;     ///< multipath: one path's tenants
-  std::vector<Watts> path_measured_;    ///< multipath per-site power books
-  std::vector<double> path_bytes_;      ///< multipath health feed
+  std::vector<Tenant*> site_group_;     ///< one site's tenants (two or more sites)
   std::vector<BitsPerSecond> tick_alloc_;  ///< staged slices, concatenated
   std::vector<StagedSlice> tick_slices_;   ///< indexed like running_
   std::unique_ptr<TickPool> pool_;      ///< live while run() executes (jobs > 1)
-
-  // --- multipath state (empty / unused in single-path mode) ---------------
-  std::vector<proto::Environment> path_envs_;  ///< stable: sessions hold refs
-  std::vector<Watts> path_session_peak_;       ///< per-path session bound
-  std::vector<Watts> path_running_peak_;       ///< per-path running peak sums
-  std::vector<double> path_link_factor_;       ///< per-path brownout factors
-  std::vector<BitsPerSecond> path_capacity_;   ///< this tick's offered capacity
-  std::vector<const char*> path_phi_track_;    ///< interned health-track names
-  std::unique_ptr<HealthMonitor> health_;
-  obs::ObsSinks* sched_sinks_ = nullptr;       ///< scheduler-level obs slot
 
   // --- scheduler-level counter tracks (collector runs only) ---------------
   const char* sched_running_track_ = nullptr;

@@ -207,9 +207,58 @@ class SessionKey {
   std::vector<std::uint64_t> words_;
 };
 
-// The key must name every field the session reads. These sizes (LP64
-// libstdc++) change when a field is added to an input struct: extend the key,
-// then the size here.
+// The key must name every field the session reads. Never called: on every
+// toolchain, a structured binding must bind exactly as many names as its
+// struct has fields, so a field added to an input struct stops this file
+// compiling. Extend the key, then the binding. net::Route is a class;
+// the key reads its one member whole through devices(). SessionConfig::obs is
+// not keyed: shareable() admits no task with sinks.
+[[maybe_unused]] void session_key_binds_every_field(
+    const proto::Environment& env, const proto::Endpoint& side,
+    const host::ServerSpec& server, const power::PowerCoefficients& power,
+    const net::PathSpec& path, const net::CongestionSpec& congestion,
+    const net::NetworkDevice& device, const proto::Dataset& dataset,
+    const proto::FileInfo& file, const proto::TransferPlan& plan,
+    const proto::Chunk& chunk, const proto::ChunkParams& params,
+    const proto::SessionConfig& config, const proto::FaultPlan& faults,
+    const proto::ChannelDropEvent& drop, const proto::ServerOutageEvent& outage,
+    const proto::PathBrownoutEvent& brownout, const proto::StochasticFaults& stochastic,
+    const proto::RetryPolicy& retry) {
+  [[maybe_unused]] const auto& [env_name, source, destination, env_path, env_congestion,
+                                route, warm_fraction, per_file_cost, rate_jitter_sd,
+                                jitter_seed] = env;
+  [[maybe_unused]] const auto& [site, servers, coefficients] = side;
+  [[maybe_unused]] const auto& [server_name, cores, cpu_tdp, nic_speed, mem_total, disk,
+                                per_core_goodput, per_stream_disk, proc_base_util,
+                                util_per_gbps, util_contention, cs_alpha,
+                                cs_util_per_thread, mem_base_util, mem_util_per_gbps] =
+      server;
+  [[maybe_unused]] const auto& [disk_kind, max_bandwidth, ramp, thrash_alpha] = server.disk;
+  [[maybe_unused]] const auto& [cpu_scale, mem_w, disk_w, nic_w, active_base] = power;
+  [[maybe_unused]] const auto& [bandwidth, rtt, tcp_buffer, mtu, background_traffic] = path;
+  [[maybe_unused]] const auto& [loss_beta, stream_knee, stream_beta] = congestion;
+  [[maybe_unused]] const auto& [device_kind, device_name] = device;
+  [[maybe_unused]] const auto& [files] = dataset;
+  [[maybe_unused]] const auto& [size] = file;
+  [[maybe_unused]] const auto& [chunks, chunk_params, placement, steal, sequential_chunks,
+                                service_overhead_per_file, checksum_rate] = plan;
+  [[maybe_unused]] const auto& [cls, file_ids, total] = chunk;
+  [[maybe_unused]] const auto& [pipelining, parallelism, channels] = params;
+  [[maybe_unused]] const auto& [tick, sample_interval, max_sim_time, checkpoint_interval,
+                                path_id, obs] = config;
+  [[maybe_unused]] const auto& [channel_drops, outages, brownouts, stochastic_faults,
+                                retry_policy, seed] = faults;
+  [[maybe_unused]] const auto& [drop_time, drop_channel] = drop;
+  [[maybe_unused]] const auto& [source_side, outage_server, outage_start,
+                                outage_duration] = outage;
+  [[maybe_unused]] const auto& [brownout_start, brownout_duration, capacity_factor,
+                                target_path] = brownout;
+  [[maybe_unused]] const auto& [channel_drop_rate, checksum_failure_prob] = stochastic;
+  [[maybe_unused]] const auto& [restart_markers, backoff_initial, backoff_multiplier,
+                                backoff_max, backoff_jitter, channel_retry_budget] = retry;
+}
+
+// The same guard by size, kept for LP64 libstdc++ where the sizes are known.
 #if defined(__x86_64__) && defined(__GLIBCXX__) && !defined(_GLIBCXX_DEBUG)
 static_assert(sizeof(proto::Environment) == 344 && sizeof(host::ServerSpec) == 168 &&
                   sizeof(net::NetworkDevice) == 40 && sizeof(proto::FileInfo) == 8 &&

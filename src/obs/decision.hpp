@@ -5,10 +5,11 @@
 // decisions — MinE partitioning a dataset and walking channels across
 // chunks, HTEE probing concurrency levels and settling on the best
 // throughput-per-joule, SLAEE jumping or re-arranging channels to track an
-// SLA, the Supervisor descending its degradation ladder. TickRecorder CSVs
-// show the *consequences*; this log captures the decisions themselves, so
-// `examples/explain_transfer` can render a "why did the algorithm do that"
-// narrative and tests can assert on the reasoning, not just the outcome.
+// SLA, the Supervisor descending its degradation ladder. Telemetry samples
+// and trace counter tracks show the *consequences*; this log captures the
+// decisions themselves, so `examples/explain_transfer` can render a "why did
+// the algorithm do that" narrative and tests can assert on the reasoning,
+// not just the outcome.
 //
 // One DecisionLog belongs to one session/task and is written single-threaded
 // (ObsCollector hands each sweep task its own); merged exports iterate slots

@@ -4,8 +4,8 @@
 // observer sees what the *engine* does every tick — per-channel rates and
 // assignments, aggregate goodput, instantaneous power. That is the right
 // granularity for debugging a calibration ("why is the Large chunk's channel
-// stuck at 0.7 Gbps at t=40?") and for exporting time series
-// (exp::TickRecorder turns this into CSV).
+// stuck at 0.7 Gbps at t=40?"). Scheduled runs export their time series
+// through obs::TelemetryHub and the trace counter tracks instead.
 //
 // Observation is passive and allocation-light: the engine fills one TickTrace
 // per tick only when an observer is attached.

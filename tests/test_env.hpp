@@ -2,8 +2,11 @@
 // engine-level tests (integration tests use the real testbeds instead).
 #pragma once
 
+#include <vector>
+
 #include "proto/dataset.hpp"
 #include "proto/environment.hpp"
+#include "proto/observer.hpp"
 
 namespace eadt::testutil {
 
@@ -50,5 +53,12 @@ inline proto::Dataset mixed_dataset() {
   ds.files.push_back({200 * kMB});
   return ds;
 }
+
+/// Keeps every tick's trace, for tests that check the per-tick series
+/// against the run's totals.
+struct TickRecorder final : proto::SessionObserver {
+  std::vector<proto::TickTrace> traces;
+  void on_tick(const proto::TickTrace& trace) override { traces.push_back(trace); }
+};
 
 }  // namespace eadt::testutil

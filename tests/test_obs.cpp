@@ -14,7 +14,6 @@
 #include "baselines/baselines.hpp"
 #include "core/algorithms.hpp"
 #include "exp/sweep.hpp"
-#include "exp/trace.hpp"
 #include "obs/obs.hpp"
 #include "proto/session.hpp"
 #include "test_env.hpp"
@@ -434,7 +433,7 @@ TEST(SessionObs, AttachAndDetachMidRunDoesNotPerturbTheRun) {
   proto::TransferSession plain(env, ds, plan);
   const auto r_plain = plain.run();
 
-  exp::TickRecorder tail(1);
+  testutil::TickRecorder tail;
   SelfDetachingObserver head;
   proto::TransferSession session(env, ds, plan);
   head.session = &session;
@@ -445,10 +444,10 @@ TEST(SessionObs, AttachAndDetachMidRunDoesNotPerturbTheRun) {
   EXPECT_DOUBLE_EQ(r.duration, r_plain.duration);
   EXPECT_DOUBLE_EQ(r.end_system_energy, r_plain.end_system_energy);
   EXPECT_EQ(head.seen, head.detach_after);  // stopped seeing ticks after detach
-  EXPECT_GT(tail.traces().size(), 0u);      // successor picked up mid-run
+  EXPECT_GT(tail.traces.size(), 0u);        // successor picked up mid-run
   // The hand-off is seamless: the successor's first tick follows the head's
   // last (strictly later sim-time).
-  EXPECT_GT(tail.traces().front().time, 0.0);
+  EXPECT_GT(tail.traces.front().time, 0.0);
 }
 
 TEST(SessionObs, ResumedLegUsesAbsoluteSimTime) {
@@ -473,7 +472,7 @@ TEST(SessionObs, ResumedLegUsesAbsoluteSimTime) {
   obs::ObsSinks sinks{&metrics, &trace, nullptr};
   proto::SessionConfig cfg;
   cfg.obs = &sinks;
-  exp::TickRecorder recorder(1);
+  testutil::TickRecorder recorder;
   proto::TransferSession second(env, ds, plan, cfg);
   std::string err;
   ASSERT_TRUE(second.resume_from(*r1.checkpoint, &err)) << err;
@@ -482,8 +481,8 @@ TEST(SessionObs, ResumedLegUsesAbsoluteSimTime) {
   EXPECT_TRUE(r2.completed);
 
   // TickTrace.time continues the transfer clock, it does not restart at 0.
-  ASSERT_FALSE(recorder.traces().empty());
-  EXPECT_GT(recorder.traces().front().time, taken_at);
+  ASSERT_FALSE(recorder.traces.empty());
+  EXPECT_GT(recorder.traces.front().time, taken_at);
 
   // Every span in the resumed leg sits at absolute transfer time too: the
   // earliest event (the transfer span open) is at the resume point, not 0.
@@ -510,7 +509,7 @@ TEST(SessionObs, BrownoutAndDownChannelsReachTheTrace) {
   proto::SessionConfig cfg;
   cfg.obs = &sinks;
   cfg.sample_interval = 0.5;  // fine-grained counter track
-  exp::TickRecorder recorder(1);
+  testutil::TickRecorder recorder;
   proto::TransferSession session(env, ds, plan, cfg);
   session.set_fault_plan(faults);
   session.set_observer(&recorder);
@@ -519,9 +518,9 @@ TEST(SessionObs, BrownoutAndDownChannelsReachTheTrace) {
 
   // The observer saw the brownout in TickTrace...
   const bool factor_seen =
-      std::any_of(recorder.traces().begin(), recorder.traces().end(),
+      std::any_of(recorder.traces.begin(), recorder.traces.end(),
                   [](const auto& t) { return t.path_capacity_factor == 0.4; });
-  const bool down_seen = std::any_of(recorder.traces().begin(), recorder.traces().end(),
+  const bool down_seen = std::any_of(recorder.traces.begin(), recorder.traces.end(),
                                      [](const auto& t) { return t.down_channels > 0; });
   EXPECT_TRUE(factor_seen);
   EXPECT_TRUE(down_seen);

@@ -31,6 +31,7 @@
 #include "exp/scheduler.hpp"
 #include "host/server.hpp"
 #include "net/path_set.hpp"
+#include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
 #include "power/tariff.hpp"
 #include "proto/session.hpp"
@@ -311,8 +312,7 @@ TEST(RatePipelinePinned, SchedulerPlainRunBrownoutCapWatchdogAndDeferral) {
   EXPECT_PINNED(exp::scheduler_report_payload(report) + hub.to_json(), 0xba9b774701efa2c7ULL);
 }
 
-TEST(RatePipelinePinned, SchedulerTwoSitesPartitionMigratesUnderSiteCaps) {
-  const auto tb = tiny_xsede();
+exp::SchedulerPolicy two_site_partition_policy(const testbeds::Testbed& tb) {
   exp::SchedulerPolicy policy;
   policy.max_concurrent = 4;
   policy.max_queue_depth = 8;
@@ -329,7 +329,12 @@ TEST(RatePipelinePinned, SchedulerTwoSitesPartitionMigratesUnderSiteCaps) {
   // out briefly on its own.
   policy.link_brownouts.push_back({0.5, 1000.0, 0.0, /*path=*/0});
   policy.link_brownouts.push_back({1.0, 0.5, 0.6, /*path=*/1});
-  exp::Scheduler scheduler(tb, gbps(7.0), policy, fast_cfg());
+  return policy;
+}
+
+TEST(RatePipelinePinned, SchedulerTwoSitesPartitionMigratesUnderSiteCaps) {
+  const auto tb = tiny_xsede();
+  exp::Scheduler scheduler(tb, gbps(7.0), two_site_partition_policy(tb), fast_cfg());
   obs::TelemetryHub hub(0.5, 512, 2);
   scheduler.set_telemetry(&hub);
   const auto report =
@@ -341,6 +346,25 @@ TEST(RatePipelinePinned, SchedulerTwoSitesPartitionMigratesUnderSiteCaps) {
   EXPECT_EQ(report.power_cap_violations, 0);
   for (const auto& out : report.jobs) EXPECT_EQ(out.path, 1);
   EXPECT_PINNED(exp::scheduler_report_payload(report) + hub.to_json(), 0x5d9fb8f47de5ac81ULL);
+}
+
+TEST(RatePipelinePinned, SchedulerTwoSitesObsExports) {
+  // The same schedule with a collector: per-path phi gauges and trace tracks,
+  // read while the partitioned primary sits idle and its demerits decay.
+  const auto tb = tiny_xsede();
+  exp::Scheduler scheduler(tb, gbps(7.0), two_site_partition_policy(tb), fast_cfg());
+  obs::ObsCollector collector;
+  scheduler.set_collector(&collector);
+  const auto report =
+      scheduler.run(pin_jobs("part", 3, 6, 80 * kMB, exp::JobPolicy::kBalanced));
+
+  EXPECT_GE(report.migrations, 1);
+  std::ostringstream trace, metrics, decisions;
+  collector.write_chrome_trace(trace);
+  collector.write_metrics_json(metrics);
+  collector.write_decisions_json(decisions);
+  EXPECT_NE(trace.str().find("path.primary.phi"), std::string::npos);
+  EXPECT_PINNED(trace.str() + metrics.str() + decisions.str(), 0x6ba7f43cad850ffaULL);
 }
 
 TEST(RatePipelinePinned, SchedulerOneOptionPathSet) {

@@ -1,33 +1,32 @@
-#include "exp/trace.hpp"
-
+// Per-tick observer invariants: the series a SessionObserver sees integrates
+// to the run's totals, and attaching one does not perturb the run.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "baselines/baselines.hpp"
 #include "proto/session.hpp"
 #include "test_env.hpp"
 
-namespace eadt::exp {
+namespace eadt::proto {
 namespace {
 
 using testutil::mixed_dataset;
 using testutil::small_env;
+using testutil::TickRecorder;
 
 TEST(TickRecorder, SeesEveryTickAndKeepsTimeMonotone) {
   const auto env = small_env();
   const auto ds = mixed_dataset();
-  TickRecorder recorder(1);
-  proto::TransferSession session(env, ds, baselines::plan_promc(env, ds, 3));
+  TickRecorder recorder;
+  TransferSession session(env, ds, baselines::plan_promc(env, ds, 3));
   session.set_observer(&recorder);
   const auto r = session.run();
   ASSERT_TRUE(r.completed);
 
-  ASSERT_FALSE(recorder.traces().empty());
+  ASSERT_FALSE(recorder.traces.empty());
   // One trace per 100 ms tick over the run's duration.
-  EXPECT_NEAR(static_cast<double>(recorder.ticks_seen()), r.duration / 0.1, 2.0);
+  EXPECT_NEAR(static_cast<double>(recorder.traces.size()), r.duration / 0.1, 2.0);
   Seconds prev = -1.0;
-  for (const auto& t : recorder.traces()) {
+  for (const auto& t : recorder.traces) {
     EXPECT_GT(t.time, prev);
     prev = t.time;
     EXPECT_GE(t.end_system_power, 0.0);
@@ -38,69 +37,35 @@ TEST(TickRecorder, SeesEveryTickAndKeepsTimeMonotone) {
 TEST(TickRecorder, GoodputIntegratesToTheBytesMoved) {
   const auto env = small_env();
   const auto ds = mixed_dataset();
-  TickRecorder recorder(1);
-  proto::TransferSession session(env, ds, baselines::plan_promc(env, ds, 3));
+  TickRecorder recorder;
+  TransferSession session(env, ds, baselines::plan_promc(env, ds, 3));
   session.set_observer(&recorder);
   const auto r = session.run();
   double bits = 0.0;
-  for (const auto& t : recorder.traces()) bits += t.goodput * 0.1;
+  for (const auto& t : recorder.traces) bits += t.goodput * 0.1;
   EXPECT_NEAR(bits, to_bits(r.bytes), to_bits(r.bytes) * 0.01);
 }
 
 TEST(TickRecorder, PowerIntegratesToTheEnergy) {
   const auto env = small_env();
   const auto ds = mixed_dataset();
-  TickRecorder recorder(1);
-  proto::TransferSession session(env, ds, baselines::plan_promc(env, ds, 3));
+  TickRecorder recorder;
+  TransferSession session(env, ds, baselines::plan_promc(env, ds, 3));
   session.set_observer(&recorder);
   const auto r = session.run();
   Joules joules = 0.0;
-  for (const auto& t : recorder.traces()) joules += t.end_system_power * 0.1;
+  for (const auto& t : recorder.traces) joules += t.end_system_power * 0.1;
   EXPECT_NEAR(joules, r.end_system_energy, r.end_system_energy * 0.01);
-}
-
-TEST(TickRecorder, StrideSubsamples) {
-  const auto env = small_env();
-  const auto ds = mixed_dataset();
-  TickRecorder all(1), tenth(10);
-  {
-    proto::TransferSession s(env, ds, baselines::plan_promc(env, ds, 3));
-    s.set_observer(&all);
-    (void)s.run();
-  }
-  {
-    proto::TransferSession s(env, ds, baselines::plan_promc(env, ds, 3));
-    s.set_observer(&tenth);
-    (void)s.run();
-  }
-  EXPECT_EQ(all.ticks_seen(), tenth.ticks_seen());
-  EXPECT_NEAR(static_cast<double>(all.traces().size()) / 10.0,
-              static_cast<double>(tenth.traces().size()), 1.0);
-}
-
-TEST(TickRecorder, CsvShape) {
-  const auto env = small_env();
-  const auto ds = testutil::dataset_of({20 * kMB, 20 * kMB});
-  TickRecorder recorder(1);
-  proto::TransferSession session(env, ds, baselines::plan_promc(env, ds, 2));
-  session.set_observer(&recorder);
-  (void)session.run();
-  std::ostringstream os;
-  recorder.write_csv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("time_s,goodput_mbps,power_w,open_channels,busy_channels"),
-            std::string::npos);
-  EXPECT_GT(std::count(csv.begin(), csv.end(), '\n'), 2);
 }
 
 TEST(TickRecorder, ObserverDoesNotPerturbTheRun) {
   const auto env = small_env();
   const auto ds = mixed_dataset();
-  proto::TransferSession plain(env, ds, baselines::plan_promc(env, ds, 3));
+  TransferSession plain(env, ds, baselines::plan_promc(env, ds, 3));
   const auto r_plain = plain.run();
 
-  TickRecorder recorder(1);
-  proto::TransferSession observed(env, ds, baselines::plan_promc(env, ds, 3));
+  TickRecorder recorder;
+  TransferSession observed(env, ds, baselines::plan_promc(env, ds, 3));
   observed.set_observer(&recorder);
   const auto r_obs = observed.run();
 
@@ -109,4 +74,4 @@ TEST(TickRecorder, ObserverDoesNotPerturbTheRun) {
 }
 
 }  // namespace
-}  // namespace eadt::exp
+}  // namespace eadt::proto
